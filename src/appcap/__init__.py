@@ -31,7 +31,6 @@ from .classify import (
     ProtoTag,
     classify_capture,
     classify_dns,
-    classify_packet,
     detect_quic,
 )
 from .dataset import (

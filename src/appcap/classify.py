@@ -39,6 +39,15 @@ QUIC_V2 = 0x6B3343CF
 _QUIC_DRAFT_VERSIONS = frozenset(range(0xFF00001D, 0xFF000021))
 _QUIC_KNOWN_VERSIONS = frozenset({QUIC_V1, QUIC_V2}) | _QUIC_DRAFT_VERSIONS
 
+# Long-header packet types in the v1 numbering (RFC 9000 §17.2).
+QUIC_INITIAL = 0
+QUIC_0RTT = 1
+QUIC_HANDSHAKE = 2
+QUIC_RETRY = 3
+# QUIC v2 permutes the type bits (RFC 9369 §3.2): 0b00 Retry, 0b01 Initial,
+# 0b10 0-RTT, 0b11 Handshake. Indexed by the v2 bits, gives the v1 number.
+_QUIC_V2_TYPES = (QUIC_RETRY, QUIC_INITIAL, QUIC_0RTT, QUIC_HANDSHAKE)
+
 
 class ProtoTag(enum.Enum):
     HTTP = "HTTP"
@@ -50,25 +59,23 @@ class ProtoTag(enum.Enum):
     OTHER_UDP = "OtherUDP"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AppProtocol:
     tag: ProtoTag
     tls_version: TlsVersion | None = None
+    # Display label; TLS expands by version, DoT collapses to one bucket.
+    # Derived once here because reports read it for every packet.
+    category: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         versioned = self.tag in (ProtoTag.TLS, ProtoTag.DOT)
         if versioned != (self.tls_version is not None):
             raise ValueError("tls_version present iff tag is TLS or DoT")
-
-    @property
-    def category(self) -> str:
-        """Display label; TLS expands by version, DoT collapses to one bucket."""
-        if self.tag is ProtoTag.TLS:
-            return self.tls_version.label
-        return self.tag.value
+        label = self.tls_version.label if self.tag is ProtoTag.TLS else self.tag.value
+        object.__setattr__(self, "category", label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowKey:
     endpoint_lo: tuple[str, int]
     endpoint_hi: tuple[str, int]
@@ -88,7 +95,6 @@ class FlowState:
     client_hello_version_hint: TlsVersion | None = None
     quic_seen: bool = False
     client_random: bytes | None = None
-    saw_tls: bool = False
     last_protocol: AppProtocol | None = None
     buffers: dict[tuple[str, int], bytes] = field(default_factory=dict)
     desync: dict[tuple[str, int], bool] = field(default_factory=dict)
@@ -98,7 +104,7 @@ class FlowState:
         return self.negotiated_tls or self.client_hello_version_hint or TlsVersion.UNKNOWN
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassifiedPacket:
     record: PacketRecord
     protocol: AppProtocol
@@ -112,21 +118,20 @@ class ClassifiedPacket:
 
 @dataclass(frozen=True)
 class QuicInfo:
+    """``long_packet_type`` uses the v1 numbering for every known version."""
+
     long_header: bool
     version: int | None = None
     long_packet_type: int | None = None
 
 
-def detect_quic(
-    payload: bytes, src_port: int, dst_port: int, quic_seen: bool = False
-) -> QuicInfo | None:
+def detect_quic(payload: bytes, quic_seen: bool = False) -> QuicInfo | None:
     """Recognize QUIC long headers, and short headers on known-QUIC flows.
 
-    Ports are accepted for signature parity but the detection is purely
-    header-shaped: long headers need the form+fixed bits and a known version;
-    short headers are only trusted once the flow has produced a long header.
+    Detection is purely header-shaped: long headers need the form+fixed bits
+    and a known version; short headers are only trusted once the flow has
+    produced a long header.
     """
-    del src_port, dst_port
     if not payload:
         return None
     b0 = payload[0]
@@ -138,9 +143,10 @@ def detect_quic(
             return QuicInfo(long_header=True, version=0)
         if version not in _QUIC_KNOWN_VERSIONS:
             return None
-        # Packet type bits are version-specific; v1 and the drafts share the
-        # Initial/0-RTT/Handshake/Retry layout.
-        packet_type = (b0 & 0x30) >> 4 if version != QUIC_V2 else None
+        # v1 and the drafts share the Initial/0-RTT/Handshake/Retry layout.
+        packet_type = (b0 & 0x30) >> 4
+        if version == QUIC_V2:
+            packet_type = _QUIC_V2_TYPES[packet_type]
         return QuicInfo(long_header=True, version=version, long_packet_type=packet_type)
     if quic_seen and b0 & 0x40:
         return QuicInfo(long_header=False)
@@ -211,6 +217,10 @@ class FlowTable:
 
     def __init__(self):
         self.states: dict[FlowKey, FlowState] = {}
+        # Directional (src_ip, src_port, dst_ip, dst_port, is_tcp) to the
+        # flow's key and state and the sender endpoint, so a FlowKey is built
+        # and hashed once per flow direction rather than once per packet.
+        self._directions: dict[tuple, tuple[FlowKey, FlowState, tuple[str, int]]] = {}
 
     def state_for(self, key: FlowKey) -> FlowState:
         state = self.states.get(key)
@@ -220,13 +230,17 @@ class FlowTable:
         return state
 
     def classify(self, record: PacketRecord) -> ClassifiedPacket:
-        key = FlowKey.from_record(record)
-        state = self.state_for(key)
+        is_tcp = record.transport is Transport.TCP
+        direction = (record.src_ip, record.src_port, record.dst_ip, record.dst_port, is_tcp)
+        entry = self._directions.get(direction)
+        if entry is None:
+            key = FlowKey.from_record(record)
+            entry = (key, self.state_for(key), (record.src_ip, record.src_port))
+            self._directions[direction] = entry
+        key, state, sender = entry
         payload = record.payload
-        is_dot_port = record.transport is Transport.TCP and DOT_PORT in (
-            record.src_port,
-            record.dst_port,
-        )
+        ports = (record.src_port, record.dst_port)
+        is_dot_port = is_tcp and DOT_PORT in ports
 
         if not payload:
             if state.last_protocol is not None:
@@ -240,9 +254,9 @@ class FlowTable:
         tls_ok = False
         records: list[TlsRecordView] = []
         partial_app_data = False
-        if record.transport is Transport.TCP:
+        if is_tcp:
             tls_ok, records, partial_app_data = _ingest_tls(
-                state, (record.src_ip, record.src_port), payload, record.payload_truncated
+                state, sender, payload, record.payload_truncated
             )
             _absorb_hellos(state, records)
 
@@ -253,19 +267,16 @@ class FlowTable:
         protocol: AppProtocol
         is_app_data: bool
         if is_dot_port:
-            protocol = AppProtocol(ProtoTag.DOT, state.tls_version)
+            protocol = _protocol(state, ProtoTag.DOT, state.tls_version)
             is_app_data = has_app_record
-        elif (
-            DNS_PORT in (record.src_port, record.dst_port)
-            and dns_message(payload, record.transport) is not None
-        ):
-            protocol = AppProtocol(ProtoTag.DO53)
+        elif DNS_PORT in ports and dns_message(payload, record.transport) is not None:
+            protocol = _protocol(state, ProtoTag.DO53)
             is_app_data = True
-        elif record.transport is Transport.TCP and tls_ok:
-            protocol = AppProtocol(ProtoTag.TLS, state.tls_version)
+        elif is_tcp and tls_ok:
+            protocol = _protocol(state, ProtoTag.TLS, state.tls_version)
             is_app_data = has_app_record
         elif (
-            record.transport is Transport.TCP
+            is_tcp
             and state.last_protocol is not None
             and state.last_protocol.tag in (ProtoTag.TLS, ProtoTag.DOT)
         ):
@@ -273,27 +284,34 @@ class FlowTable:
             # treat the unparseable bytes as unknown (non-app) data.
             protocol = state.last_protocol
             is_app_data = False
-        elif record.transport is Transport.TCP and HTTP_PORT in (
-            record.src_port,
-            record.dst_port,
-        ) and payload.startswith(_HTTP_PREFIXES):
-            protocol = AppProtocol(ProtoTag.HTTP)
+        elif is_tcp and HTTP_PORT in ports and payload.startswith(_HTTP_PREFIXES):
+            protocol = _protocol(state, ProtoTag.HTTP)
             is_app_data = True
         else:
             quic = None
-            if record.transport is Transport.UDP:
-                quic = detect_quic(payload, record.src_port, record.dst_port, state.quic_seen)
+            if not is_tcp:
+                quic = detect_quic(payload, state.quic_seen)
             if quic is not None:
                 if quic.long_header:
                     state.quic_seen = True
-                protocol = AppProtocol(ProtoTag.QUIC)
-                is_app_data = (not quic.long_header) or quic.long_packet_type == 1
+                protocol = _protocol(state, ProtoTag.QUIC)
+                is_app_data = (not quic.long_header) or quic.long_packet_type == QUIC_0RTT
             else:
-                protocol = _other(record.transport)
+                protocol = _protocol(
+                    state, ProtoTag.OTHER_TCP if is_tcp else ProtoTag.OTHER_UDP
+                )
                 is_app_data = False
 
         state.last_protocol = protocol
         return ClassifiedPacket(record, protocol, is_app_data, key)
+
+
+def _protocol(state: FlowState, tag: ProtoTag, tls_version: TlsVersion | None = None) -> AppProtocol:
+    """The flow's last protocol when it is unchanged, else a new one."""
+    last = state.last_protocol
+    if last is not None and last.tag is tag and last.tls_version is tls_version:
+        return last
+    return AppProtocol(tag, tls_version)
 
 
 def _other(transport: Transport) -> AppProtocol:
@@ -324,8 +342,6 @@ def _ingest_tls(
         remainder = b""
         broke = True
 
-    if records:
-        state.saw_tls = True
     partial_app_data = bool(remainder) and remainder[0] == CONTENT_APPLICATION_DATA
 
     if truncated or broke or len(remainder) > REASSEMBLY_CAP:
@@ -346,10 +362,6 @@ def _absorb_hellos(state: FlowState, records: list[TlsRecordView]) -> None:
         elif view.handshake_type == HANDSHAKE_SERVER_HELLO:
             if state.negotiated_tls is None:
                 state.negotiated_tls = resolve_tls_version(None, view)
-
-
-def classify_packet(record: PacketRecord, flows: FlowTable) -> ClassifiedPacket:
-    return flows.classify(record)
 
 
 def classify_capture(packets) -> list[ClassifiedPacket]:

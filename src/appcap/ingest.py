@@ -9,6 +9,7 @@ protocols) is skipped with a reason so callers can account for every frame.
 from __future__ import annotations
 
 import enum
+import functools
 import ipaddress
 import struct
 from dataclasses import dataclass, field
@@ -34,6 +35,15 @@ ETHERTYPE_VLAN = 0x8100
 
 IPPROTO_TCP = 6
 IPPROTO_UDP = 17
+
+_RECORD_HEADER = {"<": struct.Struct("<IIII"), ">": struct.Struct(">IIII")}
+_U16 = struct.Struct(">H")
+_PORTS = struct.Struct(">HH")
+_UDP_HEADER = struct.Struct(">HHH")
+
+# Distinct addresses seen by one run; a capture rarely has more than a few
+# hundred, and a miss only costs one ipaddress conversion.
+ADDRESS_CACHE_SIZE = 4096
 
 
 class CaptureError(Exception):
@@ -99,7 +109,7 @@ class Skip:
     reason: SkipReason
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawFrame:
     ts_ns: int
     linktype_id: int
@@ -125,7 +135,7 @@ class CaptureStream:
     frames: tuple[RawFrame, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PacketRecord:
     """One decoded TCP or UDP packet.
 
@@ -182,15 +192,14 @@ def read_capture(data: bytes) -> CaptureStream:
     frames: list[RawFrame] = []
     offset = GLOBAL_HEADER_LEN
     subsec_scale = 1000 if resolution is TsResolution.MICROSECOND else 1
-    record_fmt = endian + "IIII"
-    while offset < len(data):
-        if offset + RECORD_HEADER_LEN > len(data):
+    unpack_record = _RECORD_HEADER[endian].unpack_from
+    size = len(data)
+    while offset < size:
+        if offset + RECORD_HEADER_LEN > size:
             raise TruncatedFrame(len(frames), _finish(order, resolution, linktype, snaplen, frames))
-        ts_sec, ts_sub, incl_len, orig_len = struct.unpack(
-            record_fmt, data[offset : offset + RECORD_HEADER_LEN]
-        )
+        ts_sec, ts_sub, incl_len, orig_len = unpack_record(data, offset)
         body_start = offset + RECORD_HEADER_LEN
-        if body_start + incl_len > len(data):
+        if body_start + incl_len > size:
             raise TruncatedFrame(len(frames), _finish(order, resolution, linktype, snaplen, frames))
         body = data[body_start : body_start + incl_len]
         frames.append(
@@ -218,6 +227,15 @@ def _finish(order, resolution, linktype, snaplen, frames) -> CaptureStream:
     )
 
 
+@functools.lru_cache(maxsize=ADDRESS_CACHE_SIZE)
+def address_text(packed: bytes) -> str:
+    """Text form of a packed IPv4 or IPv6 address, exactly as ``ipaddress`` writes it.
+
+    Cached by the packed bytes, so the packets of one flow share one string.
+    """
+    return str(ipaddress.ip_address(packed))
+
+
 def decode_frame(frame: RawFrame, linktype_id: int | None = None) -> PacketRecord | Skip:
     """Decode one frame to a PacketRecord, or Skip for non-TCP/UDP traffic.
 
@@ -232,17 +250,17 @@ def decode_frame(frame: RawFrame, linktype_id: int | None = None) -> PacketRecor
     if linktype_id == LINKTYPE_ETHERNET:
         if len(data) < 14:
             raise MalformedHeader("ethernet header short")
-        ethertype = struct.unpack(">H", data[12:14])[0]
+        ethertype = _U16.unpack_from(data, 12)[0]
         offset = 14
     elif linktype_id == LINKTYPE_SLL:
         if len(data) < 16:
             raise MalformedHeader("sll header short")
-        ethertype = struct.unpack(">H", data[14:16])[0]
+        ethertype = _U16.unpack_from(data, 14)[0]
         offset = 16
     elif linktype_id == LINKTYPE_SLL2:
         if len(data) < 20:
             raise MalformedHeader("sll2 header short")
-        ethertype = struct.unpack(">H", data[0:2])[0]
+        ethertype = _U16.unpack_from(data, 0)[0]
         offset = 20
     else:
         raise UnsupportedLinkType(linktype_id)
@@ -251,7 +269,7 @@ def decode_frame(frame: RawFrame, linktype_id: int | None = None) -> PacketRecor
         # One 802.1Q tag: 2 bytes TCI then the real ethertype.
         if len(data) < offset + 4:
             raise MalformedHeader("vlan tag short")
-        ethertype = struct.unpack(">H", data[offset + 2 : offset + 4])[0]
+        ethertype = _U16.unpack_from(data, offset + 2)[0]
         offset += 4
         if ethertype == ETHERTYPE_VLAN:
             return Skip(SkipReason.NON_IP)
@@ -274,21 +292,18 @@ def _decode_ipv4(frame: RawFrame, data: bytes, start: int) -> PacketRecord | Ski
         raise MalformedHeader("ipv4 IHL below minimum")
     if len(data) < start + ihl:
         raise MalformedHeader("ipv4 options truncated")
-    total_len = struct.unpack(">H", data[start + 2 : start + 4])[0]
+    total_len = _U16.unpack_from(data, start + 2)[0]
     if total_len < ihl:
         raise MalformedHeader("ipv4 total length below header length")
-    frag = struct.unpack(">H", data[start + 6 : start + 8])[0]
-    if frag & 0x1FFF:
+    if _U16.unpack_from(data, start + 6)[0] & 0x1FFF:
         return Skip(SkipReason.FRAGMENT)
     proto = data[start + 9]
-    src = str(ipaddress.IPv4Address(data[start + 12 : start + 16]))
-    dst = str(ipaddress.IPv4Address(data[start + 16 : start + 20]))
+    src = address_text(data[start + 12 : start + 16])
+    dst = address_text(data[start + 16 : start + 20])
     # Honor total_length so link-layer padding never leaks into the payload;
     # clamp to what was actually captured.
     l4_end = min(len(data), start + total_len)
-    l4 = data[start + ihl : l4_end]
-    l4_declared = total_len - ihl
-    return _decode_transport(frame, proto, src, dst, 4, l4, l4_declared)
+    return _decode_transport(frame, proto, src, dst, 4, data, start + ihl, l4_end, total_len - ihl)
 
 
 # IPv6 extension headers we can walk through (8-byte-multiple TLV shape).
@@ -302,22 +317,23 @@ def _decode_ipv6(frame: RawFrame, data: bytes, start: int) -> PacketRecord | Ski
         raise MalformedHeader("ipv6 header short")
     if data[start] >> 4 != 6:
         raise MalformedHeader("ipv6 version mismatch")
-    payload_len = struct.unpack(">H", data[start + 4 : start + 6])[0]
+    payload_len = _U16.unpack_from(data, start + 4)[0]
     next_header = data[start + 6]
-    src = str(ipaddress.IPv6Address(data[start + 8 : start + 24]))
-    dst = str(ipaddress.IPv6Address(data[start + 24 : start + 40]))
+    src = address_text(data[start + 8 : start + 24])
+    dst = address_text(data[start + 24 : start + 40])
     end = min(len(data), start + 40 + payload_len)
     offset = start + 40
     declared_end = start + 40 + payload_len
 
     for _ in range(8):
         if next_header in (IPPROTO_TCP, IPPROTO_UDP):
-            l4 = data[offset:end]
-            return _decode_transport(frame, next_header, src, dst, 6, l4, declared_end - offset)
+            return _decode_transport(
+                frame, next_header, src, dst, 6, data, offset, end, declared_end - offset
+            )
         if next_header == _V6_FRAGMENT:
             if offset + 8 > len(data):
                 raise MalformedHeader("ipv6 fragment header truncated")
-            frag_field = struct.unpack(">H", data[offset + 2 : offset + 4])[0]
+            frag_field = _U16.unpack_from(data, offset + 2)[0]
             if frag_field >> 3:
                 return Skip(SkipReason.FRAGMENT)
             next_header = data[offset]
@@ -349,18 +365,21 @@ def _decode_transport(
     src: str,
     dst: str,
     ip_version: int,
-    l4: bytes,
+    data: bytes,
+    l4_start: int,
+    l4_end: int,
     l4_declared: int,
 ) -> PacketRecord | Skip:
+    """Decode the TCP or UDP header in ``data[l4_start:l4_end]`` (as captured)."""
+    l4_len = l4_end - l4_start
     if proto == IPPROTO_TCP:
-        if len(l4) < 20:
+        if l4_len < 20:
             raise MalformedHeader("tcp header short")
-        src_port, dst_port = struct.unpack(">HH", l4[:4])
-        header_len = (l4[12] >> 4) * 4
-        if header_len < 20 or len(l4) < header_len:
+        header_len = (data[l4_start + 12] >> 4) * 4
+        if header_len < 20 or l4_len < header_len:
             raise MalformedHeader("tcp header short")
-        flags = l4[13]
-        payload = l4[header_len:]
+        src_port, dst_port = _PORTS.unpack_from(data, l4_start)
+        payload = data[l4_start + header_len : l4_end]
         declared_payload = max(l4_declared - header_len, 0)
         return PacketRecord(
             ts_ns=frame.ts_ns,
@@ -372,17 +391,17 @@ def _decode_transport(
             transport=Transport.TCP,
             packet_len=frame.original_len,
             payload=payload,
-            tcp_flags=flags,
+            tcp_flags=data[l4_start + 13],
             payload_truncated=len(payload) < declared_payload,
         )
     if proto == IPPROTO_UDP:
-        if len(l4) < 8:
+        if l4_len < 8:
             raise MalformedHeader("udp header short")
-        src_port, dst_port, udp_len = struct.unpack(">HHH", l4[:6])
+        src_port, dst_port, udp_len = _UDP_HEADER.unpack_from(data, l4_start)
         if udp_len < 8:
             raise MalformedHeader("udp length below minimum")
         declared_payload = udp_len - 8
-        payload = l4[8 : 8 + declared_payload]
+        payload = data[l4_start + 8 : min(l4_end, l4_start + udp_len)]
         return PacketRecord(
             ts_ns=frame.ts_ns,
             ip_version=ip_version,

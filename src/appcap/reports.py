@@ -9,9 +9,12 @@ described by report_schema.json shipped with the package.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
+import operator
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -50,8 +53,57 @@ def make_envelope(command: str, inputs: Sequence[Path], body: dict) -> dict:
     }
 
 
+_INDENT = "  "
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+_STR_TYPE = frozenset({str})
+
+
+@functools.lru_cache(maxsize=64)
+def _flat_encoder(depth: int):
+    """C-accelerated encoder for one container of scalars at ``depth``.
+
+    ``indent`` would force the pure-Python encoder, so the indentation is put
+    into the item separator instead; the caller adds the opening and closing
+    newlines.
+    """
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + _INDENT * depth, ": ")).encode
+
+
+def _dumps(value, depth: int) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for a value nested ``depth`` deep.
+
+    A container whose items are all scalars goes to the C encoder in one
+    call; Python walks only the containers above such ones. Anything else
+    (non-str keys, subclasses of the JSON types, other objects) takes the
+    stdlib's own path.
+    """
+    kind = type(value)
+    if kind in _SCALAR_TYPES:
+        return _flat_encoder(0)(value)
+    if kind is dict and _STR_TYPE.issuperset(map(type, value)):
+        items = value.values()
+    elif kind is list or kind is tuple:
+        items = value
+    else:
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + _INDENT * depth)
+    brackets = "{}" if kind is dict else "[]"
+    if not value:
+        return brackets
+    pad = _INDENT * (depth + 1)
+    if _SCALAR_TYPES.issuperset(map(type, items)):
+        text = _flat_encoder(depth + 1)(value)[1:-1]
+    elif kind is dict:
+        text = (",\n" + pad).join(
+            f"{encode_basestring_ascii(k)}: {_dumps(v, depth + 1)}" for k, v in sorted(value.items())
+        )
+    else:
+        text = (",\n" + pad).join(_dumps(v, depth + 1) for v in value)
+    return f"{brackets[0]}\n{pad}{text}\n{_INDENT * depth}{brackets[1]}"
+
+
 def write_envelope(envelope: dict, path: Path | None, stream) -> None:
-    text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+    """Write what ``json.dumps(envelope, indent=2, sort_keys=True)`` writes, plus a newline."""
+    text = _dumps(envelope, 0) + "\n"
     if path is None:
         stream.write(text)
     else:
@@ -207,7 +259,7 @@ def describe_packet(cp: ClassifiedPacket) -> str:
         line = record.payload.split(b"\r\n", 1)[0][:80]
         return line.decode("ascii", errors="replace")
     if tag is ProtoTag.QUIC:
-        info = detect_quic(record.payload, record.src_port, record.dst_port, quic_seen=True)
+        info = detect_quic(record.payload, quic_seen=True)
         if info is None:
             return ""
         return "LongHeader" if info.long_header else "ShortHeader"
@@ -226,6 +278,7 @@ FEATURE_COLUMNS = [
     "app_data",
     "packet_len",
 ]
+_feature_values = operator.itemgetter(*FEATURE_COLUMNS)
 
 
 def feature_rows(classified: Sequence[ClassifiedPacket]) -> list[dict]:
@@ -250,10 +303,11 @@ def feature_rows(classified: Sequence[ClassifiedPacket]) -> list[dict]:
 
 
 def write_feature_csv(rows: Sequence[dict], path: Path) -> None:
+    """Write ``feature_rows`` output; each row holds every FEATURE_COLUMNS key."""
     with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=FEATURE_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(FEATURE_COLUMNS)
+        writer.writerows(map(_feature_values, rows))
 
 
 COMPARE_COLUMNS = ["app", "ppm_a", "ppm_b", "ratio"]

@@ -510,7 +510,8 @@ def build_capture(
                 proto = 17
                 tcp_flags = None
             ip_packet = _ipv4(src[0], dst[0], proto, l4, ident)
-            ident += 1
+            # The IPv4 Identification field is 16 bits; wrap as stacks do.
+            ident = (ident + 1) % 0x10000
             frame = _frame(linktype, c2s, ip_packet)
             record = PacketRecord(
                 ts_ns=ts_ns,

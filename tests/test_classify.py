@@ -3,13 +3,17 @@ import random
 from helpers import mk_record
 
 from appcap.classify import (
+    QUIC_0RTT,
+    QUIC_HANDSHAKE,
+    QUIC_INITIAL,
+    QUIC_RETRY,
+    QUIC_V2,
     AppProtocol,
     FlowKey,
     FlowTable,
     ProtoTag,
     classify_capture,
     classify_dns,
-    classify_packet,
     detect_quic,
     dns_query_name,
 )
@@ -244,28 +248,28 @@ class TestHttp:
 class TestQuic:
     def test_long_header_v1(self):
         payload = build_quic_initial(random.Random(8))
-        info = detect_quic(payload, 40000, 443)
+        info = detect_quic(payload)
         assert info is not None and info.long_header
         assert info.version == 1
         assert info.long_packet_type == 0
 
     def test_long_header_detection_requires_known_version(self):
         payload = b"\xc3" + (0xDEADBEEF).to_bytes(4, "big") + b"\x00" * 20
-        assert detect_quic(payload, 40000, 443) is None
+        assert detect_quic(payload) is None
 
     def test_version_negotiation(self):
         payload = b"\xc0" + b"\x00\x00\x00\x00" + b"\x08" + b"\x00" * 16
-        info = detect_quic(payload, 40000, 443)
+        info = detect_quic(payload)
         assert info is not None and info.version == 0
 
     def test_short_header_needs_flow_state(self):
         payload = build_quic_short(random.Random(9))
-        assert detect_quic(payload, 40000, 443, quic_seen=False) is None
-        info = detect_quic(payload, 40000, 443, quic_seen=True)
+        assert detect_quic(payload, quic_seen=False) is None
+        info = detect_quic(payload, quic_seen=True)
         assert info is not None and not info.long_header
 
     def test_dns_payload_not_quic(self):
-        assert detect_quic(build_dns_query(3, "a.example"), 40000, 53) is None
+        assert detect_quic(build_dns_query(3, "a.example")) is None
 
     def test_flow_classification(self):
         rng = random.Random(10)
@@ -293,6 +297,36 @@ class TestQuic:
         out = classify_capture(packets)
         assert out[1].protocol.tag is ProtoTag.QUIC
         assert out[1].is_app_data
+
+
+    @staticmethod
+    def _v2_long_header(type_bits: int, rng: random.Random) -> bytes:
+        first = 0xC0 | (type_bits << 4) | 0x03
+        return bytes([first]) + QUIC_V2.to_bytes(4, "big") + b"\x08" + rng.randbytes(8) + b"\x00" + rng.randbytes(40)
+
+    def test_v2_packet_types_map_to_v1_numbering(self):
+        # RFC 9369 section 3.2: 0b01 Initial, 0b10 0-RTT, 0b11 Handshake, 0b00 Retry.
+        rng = random.Random(13)
+        types = [detect_quic(self._v2_long_header(bits, rng)).long_packet_type for bits in range(4)]
+        assert types == [QUIC_RETRY, QUIC_INITIAL, QUIC_0RTT, QUIC_HANDSHAKE]
+
+    def test_v2_zero_rtt_counts_as_app_data(self):
+        rng = random.Random(14)
+        packets = [
+            mk_record(ts_ns=0, transport=Transport.UDP, payload=self._v2_long_header(0b01, rng)),
+            mk_record(ts_ns=1, transport=Transport.UDP, payload=self._v2_long_header(0b10, rng)),
+        ]
+        out = classify_capture(packets)
+        assert [cp.protocol.tag for cp in out] == [ProtoTag.QUIC, ProtoTag.QUIC]
+        assert [cp.is_app_data for cp in out] == [False, True]
+
+    def test_v2_initial_is_not_app_data(self):
+        # The same first byte is 0-RTT under v1 but Initial under v2.
+        rng = random.Random(15)
+        record = mk_record(transport=Transport.UDP, payload=self._v2_long_header(0b01, rng))
+        out = classify_capture([record])
+        assert out[0].protocol.tag is ProtoTag.QUIC
+        assert not out[0].is_app_data
 
 
 class TestFlowMechanics:
@@ -335,9 +369,9 @@ class TestFlowMechanics:
             (c.protocol, c.is_app_data) for c in second
         ]
 
-    def test_classify_packet_function(self):
+    def test_flow_table_classify(self):
         flows = FlowTable()
-        cp = classify_packet(mk_record(payload=build_client_hello(CH_RANDOM)), flows)
+        cp = flows.classify(mk_record(payload=build_client_hello(CH_RANDOM)))
         assert cp.protocol.tag is ProtoTag.TLS
         assert flows.states[cp.flow].client_random == CH_RANDOM
 

@@ -1,3 +1,5 @@
+import ipaddress
+
 import pytest
 from helpers import (
     PCAP_MAGIC_NS_LE,
@@ -17,6 +19,7 @@ from helpers import (
 from refdissect import ipv4_fields, sll_fields, udp_fields
 
 from appcap.ingest import (
+    ADDRESS_CACHE_SIZE,
     ByteOrder,
     DecodeSummary,
     MalformedHeader,
@@ -29,6 +32,7 @@ from appcap.ingest import (
     TsResolution,
     UnknownMagic,
     UnsupportedLinkType,
+    address_text,
     decode_frame,
     decode_stream,
     read_capture,
@@ -245,6 +249,40 @@ class TestDecodeFrame:
     def test_decode_is_pure(self):
         frame = raw_frame(sll(ip4(udp(b"same"), proto=17)), linktype=113)
         assert decode_frame(frame) == decode_frame(frame)
+
+
+IPV6_EDGE_ADDRESSES = [
+    "::",
+    "::1",
+    "::ffff:192.0.2.1",  # IPv4-mapped
+    "2001:db8:0:1:1:1:1:1",  # a single zero group is not compressed
+    "2001:db8::1:0:0:1",  # the first of two equal zero runs is compressed
+    "fe80::1:0:0:0",
+    "1:0:0:0:0:0:0:0",
+]
+
+
+class TestAddressText:
+    @pytest.mark.parametrize("text", IPV6_EDGE_ADDRESSES)
+    def test_ipv6_edge_text_matches_ipaddress(self, text):
+        packed = ipaddress.IPv6Address(text).packed
+        assert address_text(packed) == str(ipaddress.IPv6Address(packed))
+
+    @pytest.mark.parametrize("text", IPV6_EDGE_ADDRESSES)
+    def test_decoded_ipv6_record_text(self, text):
+        frame_bytes = eth(ip6(tcp(b"v6"), src=text, dst="::"), ethertype=0x86DD)
+        record = decode_frame(raw_frame(frame_bytes))
+        assert record.src_ip == str(ipaddress.IPv6Address(text))
+        assert record.dst_ip == "::"
+
+    def test_ipv4_text(self):
+        assert address_text(bytes([10, 0, 2, 16])) == "10.0.2.16"
+
+    def test_cache_is_bounded(self):
+        assert address_text.cache_info().maxsize == ADDRESS_CACHE_SIZE
+        for n in range(ADDRESS_CACHE_SIZE + 10):
+            address_text(n.to_bytes(4, "big"))
+        assert address_text.cache_info().currsize <= ADDRESS_CACHE_SIZE
 
 
 class TestDecodeStream:

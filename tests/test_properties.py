@@ -187,7 +187,7 @@ def test_coverage_monotone_in_index(flow_seeds, data):
     for i, rnd in enumerate(randoms):
         cp = mk_classified(proto(ProtoTag.TLS, TlsVersion.TLS1_3), src_port=42000 + i)
         classified.append(cp)
-        states[cp.flow] = FlowState(client_random=rnd, saw_tls=True)
+        states[cp.flow] = FlowState(client_random=rnd)
     known = data.draw(st.sets(st.sampled_from(randoms)))
     index = KeyIndex()
     for rnd in known:

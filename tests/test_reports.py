@@ -1,0 +1,189 @@
+"""Byte identity of the report writers with the standard library's output.
+
+``write_envelope`` must write exactly ``json.dumps(envelope, indent=2,
+sort_keys=True) + "\\n"`` and ``write_feature_csv`` exactly what
+``csv.DictWriter`` writes, for every tree and row the CLI can produce.
+"""
+
+import csv
+import enum
+import io
+import json
+import math
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from appcap.cli import main
+from appcap.reports import FEATURE_COLUMNS, write_envelope, write_feature_csv
+
+FIXTURES = Path(__file__).parent.parent / "fixtures"
+
+MANY = settings(
+    max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+EDGE_FLOATS = [-0.0, 0.0, 1e300, -1e300, 5e-324, math.nan, math.inf, -math.inf, 0.1]
+EDGE_STRINGS = ["", "é", "日本語", "\x00\x01\x1f\x7f", 'quote " and \\ slash', "line\nbreak\ttab", "\ud800", "😀"]
+
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.floats()
+    | st.sampled_from(EDGE_FLOATS)
+    | st.text()
+    | st.sampled_from(EDGE_STRINGS)
+)
+keys = st.text(max_size=8) | st.sampled_from(EDGE_STRINGS)
+json_trees = st.recursive(
+    scalars,
+    lambda children: (
+        st.lists(children, max_size=6)
+        | st.lists(children, max_size=6).map(tuple)
+        | st.dictionaries(keys, children, max_size=6)
+    ),
+    max_leaves=40,
+)
+
+
+def expected_text(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def assert_same_text(got: str, want: str, label: str = "") -> None:
+    """Name the first differing offset instead of diffing whole reports."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        raise AssertionError(f"{label} differs at offset {at}: {got[at:at + 40]!r} != {want[at:at + 40]!r}")
+
+
+def written_text(value) -> str:
+    stream = io.StringIO()
+    write_envelope(value, None, stream)
+    return stream.getvalue()
+
+
+@MANY
+@given(json_trees)
+def test_envelope_text_equals_json_dumps(tree):
+    assert_same_text(written_text(tree), expected_text(tree))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        (),
+        {"a": {}, "b": [], "c": ((), [[]], [{}])},
+        {"rows": [{"x": 1, "y": "z"}, {}, {"n": None}], "flat": [1, 2.5, "s", True]},
+        {"deep": [[[{"k": [1, {"j": 2}]}]]]},
+        {"int_keys": {3: "c", 1: "a"}},
+        {"mixed": [1, {2: [3]}, "x"]},
+    ],
+)
+def test_envelope_edge_containers(value):
+    assert_same_text(written_text(value), expected_text(value))
+
+
+class _Color(str, enum.Enum):
+    RED = "red"
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+def test_subclasses_of_json_types_take_the_general_path():
+    value = {"color": _Color.RED, "level": _Level.HIGH, "nested": {"c": [_Color.RED]}}
+    assert_same_text(written_text(value), expected_text(value))
+
+
+def test_envelope_written_to_path(tmp_path):
+    value = {"b": [1, {"c": "é"}], "a": math.nan}
+    path = tmp_path / "report.json"
+    write_envelope(value, path, None)
+    assert_same_text(path.read_text(), expected_text(value))
+
+
+def test_unencodable_value_raises_like_json_dumps():
+    with pytest.raises(TypeError):
+        written_text({"a": [object()]})
+
+
+def dict_writer_text(rows) -> str:
+    buffer = io.StringIO(newline="")
+    writer = csv.DictWriter(buffer, fieldnames=FEATURE_COLUMNS)
+    writer.writeheader()
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def test_feature_csv_equals_dict_writer(tmp_path):
+    rows = [
+        dict.fromkeys(FEATURE_COLUMNS, ""),
+        {
+            "ts_ns": 1,
+            "src_ip": "2001:db8::1",
+            "src_port": 443,
+            "dst_ip": "10.0.0.1",
+            "dst_port": 40000,
+            "transport": "TCP",
+            "protocol": "TLSv1.3",
+            "info": 'ClientHello,"quoted", comma\r\nnewline',
+            "app_data": True,
+            "packet_len": 1514,
+        },
+        {**dict.fromkeys(FEATURE_COLUMNS, None), "app_data": False, "info": "é"},
+    ]
+    path = tmp_path / "rows.csv"
+    write_feature_csv(rows, path)
+    with path.open(newline="") as fh:
+        assert_same_text(fh.read(), dict_writer_text(rows))
+
+
+@pytest.fixture(scope="module")
+def fixture_dirs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fixtures")
+    dirs = {}
+    for name in ("background", "dns_evolution_a", "dns_evolution_b"):
+        assert main(["synth", str(FIXTURES / f"{name}.json"), str(out / name)]) == 0
+        dirs[name] = out / name
+    return dirs
+
+
+def fixture_commands(dirs):
+    for name, directory in dirs.items():
+        capture = sorted(directory.glob("*.pcap"))[0]
+        keylog = directory / f"sslkeylog_{capture.stem}.txt"
+        yield f"{name}-analyze", ["analyze", str(capture), "--keylog", str(keylog)], True
+        yield f"{name}-keycov", ["keycov", str(capture), str(keylog)], False
+        yield f"{name}-baseline", ["baseline", str(capture)], False
+        yield f"{name}-scan", ["dataset", "scan", str(directory)], False
+        yield f"{name}-stats", ["dataset", "stats", str(directory), "--truncate-min", "1"], True
+    yield "compare", ["compare", str(dirs["dns_evolution_a"]), str(dirs["dns_evolution_b"])], True
+
+
+def test_every_command_writes_canonical_json(fixture_dirs, tmp_path):
+    commands = list(fixture_commands(fixture_dirs))
+    assert len(commands) == 16
+    for name, argv, has_csv in commands:
+        out = tmp_path / f"{name}.json"
+        extra = ["--csv", str(tmp_path / f"{name}.csv")] if has_csv else []
+        assert main(argv + ["--json", str(out)] + extra) == 0, name
+        text = out.read_text()
+        assert_same_text(text, expected_text(json.loads(text)), name)
+
+
+def test_analyze_csv_equals_dict_writer_on_fixture(fixture_dirs, tmp_path):
+    capture = sorted(fixture_dirs["background"].glob("*.pcap"))[0]
+    out_json, out_csv = tmp_path / "a.json", tmp_path / "a.csv"
+    assert main(["analyze", str(capture), "--json", str(out_json), "--csv", str(out_csv)]) == 0
+    rows = json.loads(out_json.read_text())["body"]["packets"]
+    assert rows
+    with out_csv.open(newline="") as fh:
+        assert_same_text(fh.read(), dict_writer_text(rows))

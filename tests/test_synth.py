@@ -109,6 +109,16 @@ class TestRoundTrip:
         stream = read_capture(result.pcap_bytes)
         assert decode_stream(stream) == result.records
 
+    def test_ipv4_ident_wraps_past_65535_packets(self):
+        result = capture_for(("QuicV1", 70_000))
+        stream = read_capture(result.pcap_bytes)
+        assert len(stream.frames) == 70_002
+        # SLL header (16 bytes), then the IPv4 Identification field at offset 4.
+        idents = [int.from_bytes(f.frame_bytes[20:22], "big") for f in stream.frames]
+        assert idents[:2] == [1, 2]
+        assert idents[65534:65537] == [65535, 0, 1]
+        assert len(decode_stream(stream)) == 70_002
+
     def test_microsecond_timestamps_divisible(self):
         result = capture_for(("Do53", 3))
         assert all(r.ts_ns % 1000 == 0 for r in result.records)
