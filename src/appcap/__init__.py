@@ -18,8 +18,9 @@ from .analytics import (
     encryption_breakdown,
     flow_graph,
     mean_ppm_per_app,
-    packets_per_minute,
+    merged,
     protocol_distribution,
+    tally,
     temporal_histogram,
 )
 from .classify import (
@@ -30,7 +31,6 @@ from .classify import (
     FlowTable,
     ProtoTag,
     classify_capture,
-    classify_dns,
     detect_quic,
 )
 from .dataset import (
@@ -67,5 +67,6 @@ from .keylog import (
     key_coverage,
     keylog_filename_for,
     parse_keylog,
+    read_keylog,
 )
 from .tlswire import TlsRecordView, TlsVersion, parse_tls_records, resolve_tls_version

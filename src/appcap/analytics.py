@@ -1,8 +1,13 @@
 """Dataset statistics: distributions, rates, histograms and comparisons.
 
-All reducers are plain counting over classified packets, so per-capture work
-can run in parallel and merge deterministically. Percentages are emitted for
-nonzero categories only; display concerns like log scaling stay out of here.
+``tally`` reduces one capture's classified packets to a Counter keyed by
+(transport, protocol, is_app_data), and every dataset reducer reads tallies,
+not packet lists. Tallies merge by addition, so per-capture work can run
+independently and merge deterministically: the sum of per-capture tallies
+gives the same results as one tally of all the packets. Only
+``temporal_histogram`` needs timestamps and stays per-packet. Percentages
+are emitted for nonzero categories only; display concerns like log scaling
+stay out of here.
 """
 
 from __future__ import annotations
@@ -13,11 +18,19 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .classify import ClassifiedPacket, ProtoTag
-from .dataset import CaptureLabel, truncate_packets
+from .dataset import CaptureLabel
 from .ingest import Transport
 from .tlswire import TlsVersion
 
 NS_PER_SECOND = 1_000_000_000
+
+# Packet counts keyed by (Transport, AppProtocol, is_app_data).
+Tally = Counter
+
+
+def tally(packets: Iterable[ClassifiedPacket]) -> Tally:
+    """One pass over a capture's packets; the tally is all the dataset reducers read."""
+    return Counter((cp.record.transport, cp.protocol, cp.is_app_data) for cp in packets)
 
 
 class Scope(enum.Enum):
@@ -41,14 +54,12 @@ class ProtocolDistribution:
         }
 
 
-def protocol_distribution(
-    classified: Sequence[ClassifiedPacket], scope: Scope = Scope.ALL_PACKETS
-) -> ProtocolDistribution:
+def protocol_distribution(packets: Tally, scope: Scope = Scope.ALL_PACKETS) -> ProtocolDistribution:
     counts: Counter = Counter()
-    for cp in classified:
-        if scope is Scope.APP_DATA_ONLY and not cp.is_app_data:
+    for (transport, protocol, is_app_data), n in packets.items():
+        if scope is Scope.APP_DATA_ONLY and not is_app_data:
             continue
-        counts[(cp.record.transport.value, cp.protocol.category)] += 1
+        counts[(transport.value, protocol.category)] += n
     total = sum(counts.values())
     percentages = {key: 100.0 * count / total for key, count in counts.items()} if total else {}
     return ProtocolDistribution(
@@ -82,12 +93,6 @@ class TemporalHistogram:
     def n_bins(self) -> int:
         return max((len(s) for s in self.series.values()), default=0)
 
-    def bins(self) -> list[dict[str, int]]:
-        out = []
-        for i in range(self.n_bins):
-            out.append({proto: s[i] if i < len(s) else 0 for proto, s in self.series.items()})
-        return out
-
 
 def temporal_histogram(
     classified: Sequence[ClassifiedPacket],
@@ -119,20 +124,9 @@ def temporal_histogram(
     return TemporalHistogram(bin_width_s=bin_width_s, t0_ns=t0, series=series)
 
 
-def packets_per_minute(
-    capture: Sequence[ClassifiedPacket], label: CaptureLabel | None = None
-) -> float:
-    """Packet rate over the labeled duration, or the observed span if unlabeled."""
-    count = len(capture)
-    if count == 0:
-        return 0.0
-    if label is not None:
-        duration_s = float(label.duration_s)
-    else:
-        ts = [cp.record.ts_ns for cp in capture]
-        duration_s = (max(ts) - min(ts)) / NS_PER_SECOND
-    duration_s = max(duration_s, 1.0)
-    return count * 60.0 / duration_s
+def packets_per_minute(capture: Tally, label: CaptureLabel) -> float:
+    """Packet rate over the labeled duration (at least one second, by the label)."""
+    return sum(capture.values()) * 60.0 / label.duration_s
 
 
 @dataclass(frozen=True)
@@ -142,13 +136,13 @@ class PpmRecord:
     captures_used: int
 
 
-Captures = Sequence[tuple[CaptureLabel, Sequence[ClassifiedPacket]]]
+Captures = Sequence[tuple[CaptureLabel, Tally]]
 
 
 def mean_ppm_per_app(captures: Captures) -> list[PpmRecord]:
     per_app: dict[str, list[float]] = defaultdict(list)
-    for label, packets in captures:
-        per_app[label.app_name].append(packets_per_minute(packets, label))
+    for label, counts in captures:
+        per_app[label.app_name].append(packets_per_minute(counts, label))
     return [
         PpmRecord(app_name=app, mean_ppm=sum(values) / len(values), captures_used=len(values))
         for app, values in sorted(per_app.items())
@@ -176,7 +170,7 @@ class EncryptionBreakdown:
     total_app_data: int
 
 
-def encryption_breakdown(classified: Sequence[ClassifiedPacket]) -> EncryptionBreakdown:
+def encryption_breakdown(packets: Tally) -> EncryptionBreakdown:
     """Version shares of TCP-encrypted traffic plus QUIC and DoT shares.
 
     The TCP-encrypted denominator is every TLS or DoT app-data packet over
@@ -187,18 +181,18 @@ def encryption_breakdown(classified: Sequence[ClassifiedPacket]) -> EncryptionBr
     quic_total = 0
     dot_total = 0
     total_app_data = 0
-    for cp in classified:
-        if not cp.is_app_data:
+    for (transport, protocol, is_app_data), n in packets.items():
+        if not is_app_data:
             continue
-        total_app_data += 1
-        tag = cp.protocol.tag
-        if tag in (ProtoTag.TLS, ProtoTag.DOT) and cp.record.transport is Transport.TCP:
-            tcp_counts[cp.protocol.tls_version] += 1
+        total_app_data += n
+        tag = protocol.tag
+        if tag in (ProtoTag.TLS, ProtoTag.DOT) and transport is Transport.TCP:
+            tcp_counts[protocol.tls_version] += n
         if tag is ProtoTag.QUIC:
-            quic_total += 1
+            quic_total += n
         elif tag is ProtoTag.DOT:
-            dot_total += 1
-            dot_counts[cp.protocol.tls_version] += 1
+            dot_total += n
+            dot_counts[protocol.tls_version] += n
     tcp_total = sum(tcp_counts.values())
     return EncryptionBreakdown(
         tcp_encrypted_counts=dict(tcp_counts),
@@ -214,11 +208,6 @@ def encryption_breakdown(classified: Sequence[ClassifiedPacket]) -> EncryptionBr
     )
 
 
-class FlowGraphMode(enum.Enum):
-    COMM_GRAPH6 = "CommGraph6"
-    SANKEY3 = "Sankey3"
-
-
 ENCRYPTED_TAGS = frozenset({ProtoTag.TLS, ProtoTag.DOT, ProtoTag.QUIC})
 
 Node = tuple[int, str]
@@ -226,55 +215,26 @@ Node = tuple[int, str]
 
 @dataclass
 class FlowGraph:
-    mode: FlowGraphMode
     nodes: list[Node]
     links: list[tuple[Node, Node, int]]
 
 
-def flow_graph(
-    captures: Iterable[tuple[str, Sequence[ClassifiedPacket]]],
-    mode: FlowGraphMode,
-    app_data_only: bool | None = None,
-    port_interval_width: int = 4096,
-) -> FlowGraph:
-    """Stage-by-stage packet flow graph.
+def flow_graph(packets: Tally) -> FlowGraph:
+    """Sankey of app-data packets: transport, then encryption status, then protocol.
 
-    CommGraph6 stages source IPs through transports, source-port intervals,
-    destination ports and IPs to app names over all packets; Sankey3 stages
-    transport through encryption status to terminal protocol over app-data
-    packets. Interior nodes conserve flow by construction.
+    The interior stage conserves flow by construction.
     """
-    if app_data_only is None:
-        app_data_only = mode is FlowGraphMode.SANKEY3
     links: Counter = Counter()
-    for app_name, packets in captures:
-        for cp in packets:
-            if app_data_only and not cp.is_app_data:
-                continue
-            stages = _stages_for(cp, app_name, mode, port_interval_width)
-            for i in range(len(stages) - 1):
-                links[((i, stages[i]), (i + 1, stages[i + 1]))] += 1
-    nodes = sorted({node for pair in links for node in pair[:2]})
+    for (transport, protocol, is_app_data), n in packets.items():
+        if not is_app_data:
+            continue
+        status = "Encrypted" if protocol.tag in ENCRYPTED_TAGS else "Cleartext"
+        stages = ((0, transport.value), (1, status), (2, protocol.category))
+        links[(stages[0], stages[1])] += n
+        links[(stages[1], stages[2])] += n
+    nodes = sorted({node for pair in links for node in pair})
     ordered_links = [(src, dst, count) for (src, dst), count in sorted(links.items())]
-    return FlowGraph(mode=mode, nodes=nodes, links=ordered_links)
-
-
-def _stages_for(
-    cp: ClassifiedPacket, app_name: str, mode: FlowGraphMode, interval: int
-) -> list[str]:
-    record = cp.record
-    if mode is FlowGraphMode.COMM_GRAPH6:
-        lo = (record.src_port // interval) * interval
-        return [
-            record.src_ip,
-            record.transport.value,
-            f"{lo}-{lo + interval - 1}",
-            str(record.dst_port),
-            record.dst_ip,
-            app_name,
-        ]
-    status = "Encrypted" if cp.protocol.tag in ENCRYPTED_TAGS else "Cleartext"
-    return [record.transport.value, status, cp.protocol.category]
+    return FlowGraph(nodes=nodes, links=ordered_links)
 
 
 class QuicBehavior(enum.Enum):
@@ -335,67 +295,46 @@ class ComparisonReport:
         return self.mean_ppm_a / self.mean_ppm_b if self.mean_ppm_b else None
 
 
-def compare_datasets(
-    a: Captures,
-    b: Captures,
-    truncate_min: float | None = None,
-    truncate_min_a: float | None = None,
-    truncate_min_b: float | None = None,
-    common_only: bool = True,
-) -> ComparisonReport:
+def compare_datasets(a: Captures, b: Captures, common_only: bool = True) -> ComparisonReport:
     """Cross-dataset report over the apps present in both datasets.
 
-    Truncation applies symmetrically unless a per-dataset override is given,
-    and always before any statistic. Per-app fields are keyed by the common
-    apps; ``common_only`` controls whether the dataset-level distributions
-    also drop non-common apps.
+    Per-app fields are keyed by the common apps; ``common_only`` controls
+    whether the dataset-level distributions also drop non-common apps.
     """
-    a = _truncated(a, truncate_min_a if truncate_min_a is not None else truncate_min)
-    b = _truncated(b, truncate_min_b if truncate_min_b is not None else truncate_min)
-    apps_a = {label.app_name for label, _ in a}
-    apps_b = {label.app_name for label, _ in b}
-    common = tuple(sorted(apps_a & apps_b))
-    if not common:
+    common_set = {label.app_name for label, _ in a} & {label.app_name for label, _ in b}
+    if not common_set:
         raise NoCommonApps("datasets share no app names")
-    common_set = set(common)
-    a_common = [(label, pkts) for label, pkts in a if label.app_name in common_set]
-    b_common = [(label, pkts) for label, pkts in b if label.app_name in common_set]
+    common = tuple(sorted(common_set))
+    a_common = [(label, counts) for label, counts in a if label.app_name in common_set]
+    b_common = [(label, counts) for label, counts in b if label.app_name in common_set]
 
-    dist_source_a = a_common if common_only else a
-    dist_source_b = b_common if common_only else b
-    distribution_a = protocol_distribution(_concat(dist_source_a), Scope.APP_DATA_ONLY)
-    distribution_b = protocol_distribution(_concat(dist_source_b), Scope.APP_DATA_ONLY)
+    distribution_a = protocol_distribution(merged(a_common if common_only else a), Scope.APP_DATA_ONLY)
+    distribution_b = protocol_distribution(merged(b_common if common_only else b), Scope.APP_DATA_ONLY)
 
     ppm_a = {r.app_name: r for r in mean_ppm_per_app(a_common)}
     ppm_b = {r.app_name: r for r in mean_ppm_per_app(b_common)}
     ppm_rows = [
-        PpmComparison(
-            app_name=app,
-            ppm_a=ppm_a[app].mean_ppm if app in ppm_a else 0.0,
-            ppm_b=ppm_b[app].mean_ppm if app in ppm_b else 0.0,
-        )
+        PpmComparison(app_name=app, ppm_a=ppm_a[app].mean_ppm, ppm_b=ppm_b[app].mean_ppm)
         for app in common
     ]
     mean_a = dataset_mean_ppm(list(ppm_a.values()))
     mean_b = dataset_mean_ppm(list(ppm_b.values()))
 
+    per_app_a = _per_app(a_common)
+    per_app_b = _per_app(b_common)
     bihistogram: dict[str, dict[str, tuple[int, int]]] = {}
-    quic_counts_a = _per_app_quic(a_common)
-    quic_counts_b = _per_app_quic(b_common)
-    versions_a = _per_app_versions(a_common)
-    versions_b = _per_app_versions(b_common)
     for app in common:
-        merged: dict[str, tuple[int, int]] = {}
-        labels = set(versions_a.get(app, {})) | set(versions_b.get(app, {}))
-        for label in sorted(labels):
-            merged[label] = (
-                versions_a.get(app, {}).get(label, 0),
-                versions_b.get(app, {}).get(label, 0),
-            )
-        bihistogram[app] = merged
+        versions_a = _tls_versions(per_app_a[app])
+        versions_b = _tls_versions(per_app_b[app])
+        bihistogram[app] = {
+            version: (versions_a[version], versions_b[version])
+            for version in sorted(versions_a.keys() | versions_b.keys())
+        }
 
     quic_behavior = {
-        app: quic_behavior_for(quic_counts_a.get(app, 0), quic_counts_b.get(app, 0))
+        app: quic_behavior_for(
+            _count(per_app_a[app], ProtoTag.QUIC), _count(per_app_b[app], ProtoTag.QUIC)
+        )
         for app in common
     }
 
@@ -408,63 +347,50 @@ def compare_datasets(
         mean_ppm_b=mean_b,
         encryption_bihistogram=bihistogram,
         quic_behavior=quic_behavior,
-        dns_evolution=_dns_evolution(a_common, b_common),
+        dns_evolution=_dns_evolution(merged(a_common), merged(b_common)),
     )
 
 
-def _truncated(captures: Captures, minutes: float | None) -> Captures:
-    if minutes is None:
-        return [(label, list(pkts)) for label, pkts in captures]
-    return [(label, truncate_packets(pkts, minutes)) for label, pkts in captures]
+def merged(captures: Captures) -> Tally:
+    """The captures' tallies summed into one."""
+    total: Tally = Counter()
+    for _, counts in captures:
+        total.update(counts)
+    return total
 
 
-def _concat(captures: Captures) -> list[ClassifiedPacket]:
-    out: list[ClassifiedPacket] = []
-    for _, pkts in captures:
-        out.extend(pkts)
+def _per_app(captures: Captures) -> dict[str, Tally]:
+    out: dict[str, Tally] = defaultdict(Counter)
+    for label, counts in captures:
+        out[label.app_name].update(counts)
     return out
 
 
-def _per_app_quic(captures: Captures) -> dict[str, int]:
-    counts: Counter = Counter()
-    for label, pkts in captures:
-        counts[label.app_name] += sum(1 for cp in pkts if cp.protocol.tag is ProtoTag.QUIC)
-    return dict(counts)
+def _count(packets: Tally, tag: ProtoTag, app_data_only: bool = False) -> int:
+    return sum(
+        n for (_, protocol, is_app_data), n in packets.items()
+        if protocol.tag is tag and (is_app_data or not app_data_only)
+    )
 
 
-def _per_app_versions(captures: Captures) -> dict[str, dict[str, int]]:
-    """Per-app TLS-version packet counts over TCP (TLS and DoT tags)."""
-    out: dict[str, Counter] = defaultdict(Counter)
-    for label, pkts in captures:
-        for cp in pkts:
-            if cp.protocol.tag in (ProtoTag.TLS, ProtoTag.DOT):
-                out[label.app_name][cp.protocol.tls_version.label] += 1
-    return {app: dict(c) for app, c in out.items()}
+def _tls_versions(packets: Tally) -> Counter:
+    """TLS-version packet counts over TLS and DoT (both TCP-only tags)."""
+    versions: Counter = Counter()
+    for (_, protocol, _), n in packets.items():
+        if protocol.tag in (ProtoTag.TLS, ProtoTag.DOT):
+            versions[protocol.tls_version.label] += n
+    return versions
 
 
-def _dns_evolution(a: Captures, b: Captures) -> DnsEvolution:
-    do53_a, dot_a = _dns_counts(a)
-    do53_b, dot_b = _dns_counts(b)
+def _dns_evolution(a: Tally, b: Tally) -> DnsEvolution:
+    do53_a, dot_a = _count(a, ProtoTag.DO53, True), _count(a, ProtoTag.DOT, True)
+    do53_b, dot_b = _count(b, ProtoTag.DO53, True), _count(b, ProtoTag.DOT, True)
     return DnsEvolution(
         do53_pct_a=_pct(do53_a, do53_a + dot_a),
         dot_pct_a=_pct(dot_a, do53_a + dot_a),
         do53_pct_b=_pct(do53_b, do53_b + dot_b),
         dot_pct_b=_pct(dot_b, do53_b + dot_b),
     )
-
-
-def _dns_counts(captures: Captures) -> tuple[int, int]:
-    do53 = 0
-    dot = 0
-    for _, pkts in captures:
-        for cp in pkts:
-            if not cp.is_app_data:
-                continue
-            if cp.protocol.tag is ProtoTag.DO53:
-                do53 += 1
-            elif cp.protocol.tag is ProtoTag.DOT:
-                dot += 1
-    return do53, dot
 
 
 def _pct(part: int, whole: int) -> float:

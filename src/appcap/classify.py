@@ -202,16 +202,6 @@ def dns_query_name(payload: bytes, transport: Transport) -> str | None:
         return None
 
 
-def classify_dns(record: PacketRecord, tls_version: TlsVersion | None = None) -> AppProtocol | None:
-    """Port-based DNS rules: Do53 needs a well-formed header, DoT is port 853."""
-    if record.transport is Transport.TCP and DOT_PORT in (record.src_port, record.dst_port):
-        return AppProtocol(ProtoTag.DOT, tls_version or TlsVersion.UNKNOWN)
-    if DNS_PORT in (record.src_port, record.dst_port):
-        if dns_message(record.payload, record.transport) is not None:
-            return AppProtocol(ProtoTag.DO53)
-    return None
-
-
 class FlowTable:
     """Flow-confined classification state for one capture."""
 

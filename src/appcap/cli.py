@@ -16,13 +16,15 @@ import sys
 from pathlib import Path
 
 from .analytics import (
-    FlowGraphMode,
     NoCommonApps,
     Scope,
+    Tally,
     compare_datasets,
     flow_graph,
     mean_ppm_per_app,
+    merged,
     protocol_distribution,
+    tally,
     temporal_histogram,
 )
 from .classify import ClassifiedPacket, FlowTable
@@ -35,7 +37,7 @@ from .dataset import (
     truncate_packets,
 )
 from .ingest import CaptureError, PacketRecord, decode_stream, read_capture
-from .keylog import key_coverage, parse_keylog
+from .keylog import key_coverage, read_keylog
 from .reports import (
     background_json,
     comparison_json,
@@ -211,14 +213,19 @@ def _classify_file(path: Path) -> tuple[list[ClassifiedPacket], FlowTable]:
     return classified, flows
 
 
-def _load_dataset(directory: Path) -> tuple[DatasetManifest, list[tuple[CaptureLabel, list[ClassifiedPacket]]]]:
+def _load_dataset(
+    directory: Path, truncate_min: float | None
+) -> tuple[DatasetManifest, list[tuple[CaptureLabel, Tally]]]:
+    """Each capture classified, truncated when asked, and reduced to its tally."""
     if not directory.is_dir():
         raise _DomainError(f"not a dataset directory: {directory}")
     manifest = scan_directory(directory)
     captures = []
     for entry in manifest.entries:
         classified, _ = _classify_file(entry.capture_path)
-        captures.append((entry.label, classified))
+        if truncate_min is not None:
+            classified = truncate_packets(classified, truncate_min)
+        captures.append((entry.label, tally(classified)))
     return manifest, captures
 
 
@@ -226,7 +233,7 @@ def cmd_analyze(args) -> int:
     classified, flows = _classify_file(args.capture)
     scope = Scope.APP_DATA_ONLY if args.app_data_only else Scope.ALL_PACKETS
     rows_source = [cp for cp in classified if cp.is_app_data] if args.app_data_only else classified
-    dist = protocol_distribution(classified, scope)
+    dist = protocol_distribution(tally(classified), scope)
     hist = temporal_histogram(classified, bin_width_s=args.bins)
     body = {
         "packets": feature_rows(rows_source),
@@ -234,7 +241,7 @@ def cmd_analyze(args) -> int:
         "histogram": histogram_json(hist),
     }
     if args.keylog is not None:
-        index = parse_keylog(args.keylog.read_text())
+        index = read_keylog(args.keylog)
         coverage = key_coverage(classified, index, flows.states)
         body["coverage"] = coverage_json(coverage, index.malformed_lines)
     inputs = [args.capture] + ([args.keylog] if args.keylog else [])
@@ -270,14 +277,11 @@ def cmd_dataset_scan(args) -> int:
 
 
 def cmd_dataset_stats(args) -> int:
-    manifest, captures = _load_dataset(args.directory)
+    manifest, captures = _load_dataset(args.directory, args.truncate_min)
     if not captures:
         raise _DomainError(f"no captures found in {args.directory}")
-    if args.truncate_min is not None:
-        captures = [(label, truncate_packets(pkts, args.truncate_min)) for label, pkts in captures]
     scope = Scope.APP_DATA_ONLY if args.app_data_only else Scope.ALL_PACKETS
-    all_packets = [cp for _, pkts in captures for cp in pkts]
-    dist = protocol_distribution(all_packets, scope)
+    dist = protocol_distribution(merged(captures), scope)
     ppm = mean_ppm_per_app(captures)
     body = {
         "manifest": manifest_json(manifest),
@@ -296,26 +300,14 @@ def cmd_dataset_stats(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    manifest_a, captures_a = _load_dataset(args.dir_a)
-    manifest_b, captures_b = _load_dataset(args.dir_b)
-    report = compare_datasets(
-        captures_a,
-        captures_b,
-        truncate_min=args.truncate_min,
-        common_only=args.common_only,
-    )
+    manifest_a, captures_a = _load_dataset(args.dir_a, args.truncate_min)
+    manifest_b, captures_b = _load_dataset(args.dir_b, args.truncate_min)
+    report = compare_datasets(captures_a, captures_b, common_only=args.common_only)
     common = set(report.common_apps)
-    sankey_a = flow_graph(
-        [(label.app_name, pkts) for label, pkts in captures_a if label.app_name in common],
-        FlowGraphMode.SANKEY3,
-    )
-    sankey_b = flow_graph(
-        [(label.app_name, pkts) for label, pkts in captures_b if label.app_name in common],
-        FlowGraphMode.SANKEY3,
-    )
     body = comparison_json(report)
-    body["sankey_a"] = flow_graph_json(sankey_a)
-    body["sankey_b"] = flow_graph_json(sankey_b)
+    for key, captures in (("sankey_a", captures_a), ("sankey_b", captures_b)):
+        sankey = flow_graph(merged([(lab, t) for lab, t in captures if lab.app_name in common]))
+        body[key] = flow_graph_json(sankey)
     inputs = [e.capture_path for e in manifest_a.entries] + [
         e.capture_path for e in manifest_b.entries
     ]
@@ -336,7 +328,7 @@ def cmd_compare(args) -> int:
 
 def cmd_keycov(args) -> int:
     classified, flows = _classify_file(args.capture)
-    index = parse_keylog(args.keylog.read_text())
+    index = read_keylog(args.keylog)
     coverage = key_coverage(classified, index, flows.states)
     body = {"coverage": coverage_json(coverage, index.malformed_lines)}
     envelope = make_envelope("keycov", [args.capture, args.keylog], body)

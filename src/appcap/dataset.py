@@ -70,19 +70,19 @@ class CaptureLabel:
         return f"{self.app_name}_{self.capture_date.strftime(DATE_FORMAT)}_{self.duration_s}"
 
 
-def parse_capture_stem(stem: str, date_format: str = DATE_FORMAT) -> CaptureLabel:
+def parse_capture_stem(stem: str) -> CaptureLabel:
     parts = stem.rsplit("_", 2)
     if len(parts) != 3 or not parts[0]:
         raise BadDate(f"expected <app>_<date>_<duration>, got {stem!r}")
     app_name, date_text, duration_text = parts
-    if date_format == DATE_FORMAT and not _DATE_RE.fullmatch(date_text):
+    if not _DATE_RE.fullmatch(date_text):
         raise BadDate(f"date field {date_text!r} does not match YYYYMMDDThhmmssZ")
     try:
-        date = datetime.strptime(date_text, date_format).replace(tzinfo=timezone.utc)
+        date = datetime.strptime(date_text, DATE_FORMAT).replace(tzinfo=timezone.utc)
     except ValueError as exc:
         raise BadDate(str(exc)) from exc
-    if date.strftime(date_format) != date_text:
-        raise BadDate(f"date field {date_text!r} does not round-trip {date_format!r}")
+    if date.strftime(DATE_FORMAT) != date_text:
+        raise BadDate(f"date field {date_text!r} does not round-trip {DATE_FORMAT!r}")
     if not duration_text.isdigit():
         raise BadDuration(f"duration field {duration_text!r} is not a positive integer")
     duration = int(duration_text)
@@ -91,10 +91,10 @@ def parse_capture_stem(stem: str, date_format: str = DATE_FORMAT) -> CaptureLabe
     return CaptureLabel(app_name=app_name, capture_date=date, duration_s=duration)
 
 
-def parse_capture_filename(name: str, date_format: str = DATE_FORMAT) -> CaptureLabel:
+def parse_capture_filename(name: str) -> CaptureLabel:
     if not name.endswith(CAPTURE_SUFFIX):
         raise BadExtension(f"expected {CAPTURE_SUFFIX} extension: {name!r}")
-    return parse_capture_stem(name[: -len(CAPTURE_SUFFIX)], date_format)
+    return parse_capture_stem(name[: -len(CAPTURE_SUFFIX)])
 
 
 def render_capture_filename(label: CaptureLabel) -> str:
@@ -119,7 +119,7 @@ class DatasetManifest:
         return {entry.label.app_name for entry in self.entries}
 
 
-def scan_dataset(paths: Iterable[Path], date_format: str = DATE_FORMAT) -> DatasetManifest:
+def scan_dataset(paths: Iterable[Path]) -> DatasetManifest:
     """Pair captures with key logs by identical stem; report every leftover.
 
     Unparseable capture names and keylogs without a capture are listed in the
@@ -132,7 +132,7 @@ def scan_dataset(paths: Iterable[Path], date_format: str = DATE_FORMAT) -> Datas
         name = path.name
         if name.endswith(CAPTURE_SUFFIX):
             try:
-                label = parse_capture_filename(name, date_format)
+                label = parse_capture_filename(name)
             except LabelError:
                 unparseable.append(path)
                 continue
@@ -150,9 +150,9 @@ def scan_dataset(paths: Iterable[Path], date_format: str = DATE_FORMAT) -> Datas
     )
 
 
-def scan_directory(directory: Path, date_format: str = DATE_FORMAT) -> DatasetManifest:
+def scan_directory(directory: Path) -> DatasetManifest:
     paths = [p for p in sorted(directory.iterdir()) if p.is_file()]
-    return scan_dataset(paths, date_format)
+    return scan_dataset(paths)
 
 
 def truncate_packets(

@@ -8,9 +8,10 @@ capture can be matched to their logged secrets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Mapping, Sequence
 
-from .classify import ClassifiedPacket, FlowKey, FlowState, FlowTable, ProtoTag
+from .classify import ClassifiedPacket, FlowKey, FlowState, ProtoTag
 from .dataset import KEYLOG_PREFIX, KEYLOG_SUFFIX, CaptureLabel
 
 
@@ -39,15 +40,24 @@ class KeyIndex:
         return client_random in self.by_random
 
 
+def read_keylog(path: Path) -> KeyIndex:
+    """Parse a key log file; bytes that are not UTF-8 spoil only their own line."""
+    return parse_keylog(path.read_bytes().decode("utf-8", errors="replace"))
+
+
 def parse_keylog(text: str) -> KeyIndex:
-    """Tolerant parse: comments and blanks ignored, bad lines tallied."""
+    """Tolerant parse: comments and blanks ignored, bad lines tallied.
+
+    A line holding U+FFFD, which ``read_keylog`` puts in place of bytes that
+    are not UTF-8, is malformed.
+    """
     index = KeyIndex()
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split()
-        if len(fields) != 3:
+        if len(fields) != 3 or "\ufffd" in line:
             index.malformed_lines += 1
             continue
         label, random_hex, secret_hex = fields
@@ -83,20 +93,14 @@ class CoverageReport:
 def key_coverage(
     classified: Sequence[ClassifiedPacket],
     index: KeyIndex,
-    flow_states: Mapping[FlowKey, FlowState] | None = None,
+    flow_states: Mapping[FlowKey, FlowState],
 ) -> CoverageReport:
     """How many TLS/DoT flows with an observed ClientHello have logged keys.
 
-    Mid-stream flows (no ClientHello seen) cannot be matched by random and
-    are excluded from the denominator; they still count as TLS flows. Flow
-    states are re-derived from the packets when not supplied.
+    ``flow_states`` is the table that classified the packets. Mid-stream
+    flows (no ClientHello seen) cannot be matched by random and are excluded
+    from the denominator; they still count as TLS flows.
     """
-    if flow_states is None:
-        table = FlowTable()
-        for cp in classified:
-            table.classify(cp.record)
-        flow_states = table.states
-
     tls_flow_keys = {
         cp.flow for cp in classified if cp.protocol.tag in (ProtoTag.TLS, ProtoTag.DOT)
     }
@@ -119,12 +123,3 @@ def key_coverage(
 
 def keylog_filename_for(label: CaptureLabel) -> str:
     return f"{KEYLOG_PREFIX}{label.stem}{KEYLOG_SUFFIX}"
-
-
-def parse_keylog_filename(name: str) -> CaptureLabel:
-    """Inverse of keylog_filename_for, sharing the capture-stem grammar."""
-    from .dataset import BadExtension, parse_capture_stem
-
-    if not name.startswith(KEYLOG_PREFIX) or not name.endswith(KEYLOG_SUFFIX):
-        raise BadExtension(f"expected {KEYLOG_PREFIX}*{KEYLOG_SUFFIX}: {name!r}")
-    return parse_capture_stem(name[len(KEYLOG_PREFIX) : -len(KEYLOG_SUFFIX)])

@@ -180,7 +180,7 @@ def ppm_json(records: Sequence[PpmRecord]) -> list[dict]:
 
 def flow_graph_json(graph: FlowGraph) -> dict:
     return {
-        "mode": graph.mode.value,
+        "mode": "Sankey3",
         "nodes": [{"stage": stage, "label": label} for stage, label in graph.nodes],
         "links": [
             {"source": [src[0], src[1]], "target": [dst[0], dst[1]], "packets": count}

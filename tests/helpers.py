@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import struct
 
-from appcap.classify import AppProtocol, ClassifiedPacket, FlowKey, ProtoTag
+from appcap.classify import AppProtocol, ClassifiedPacket, FlowKey, FlowTable, ProtoTag
 from appcap.ingest import PacketRecord, RawFrame, Transport
 from appcap.tlswire import TlsVersion
 
@@ -206,3 +206,9 @@ def tls13_proto() -> AppProtocol:
 
 def proto(tag: ProtoTag, version: TlsVersion | None = None) -> AppProtocol:
     return AppProtocol(tag, version)
+
+
+def classify_with_states(records):
+    """Classify records in order with one flow table; return packets and flow states."""
+    flows = FlowTable()
+    return [flows.classify(r) for r in records], flows.states

@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
-from helpers import mk_classified, mk_record, proto
+from helpers import classify_with_states, mk_classified, mk_record, proto
 from refdissect import server_hello_fields, tls_record_fields
 
 from appcap.analytics import (
@@ -25,6 +25,7 @@ from appcap.analytics import (
     encryption_breakdown,
     mean_ppm_per_app,
     quic_behavior_for,
+    tally,
 )
 from appcap.classify import ProtoTag, classify_capture
 from appcap.dataset import CaptureLabel
@@ -149,12 +150,12 @@ def _version_flows(mix: dict, base_port=43000):
 @criterion(3, "Encryption-evolution shares 90.0/9.6 and 6.7/77.7/14.2 within 0.1")
 def test_criterion_3_encryption_evolution():
     dataset_b = _version_flows({0x0304: 900, 0x0303: 96, 0x0301: 4})
-    shares_b = encryption_breakdown(dataset_b).tcp_encrypted_pct
+    shares_b = encryption_breakdown(tally(dataset_b)).tcp_encrypted_pct
     assert shares_b[TlsVersion.TLS1_3] == pytest.approx(90.0, abs=0.1)
     assert shares_b[TlsVersion.TLS1_2] == pytest.approx(9.6, abs=0.1)
 
     dataset_a = _version_flows({0x0304: 67, 0x0303: 777, None: 142, 0x0301: 14})
-    shares_a = encryption_breakdown(dataset_a).tcp_encrypted_pct
+    shares_a = encryption_breakdown(tally(dataset_a)).tcp_encrypted_pct
     assert shares_a[TlsVersion.TLS1_3] == pytest.approx(6.7, abs=0.1)
     assert shares_a[TlsVersion.TLS1_2] == pytest.approx(77.7, abs=0.1)
     assert shares_a[TlsVersion.UNKNOWN] == pytest.approx(14.2, abs=0.1)
@@ -192,7 +193,7 @@ REFERENCE_RATES = [
 def _rate_capture(app, ppm, day=1):
     label = CaptureLabel(app, datetime(2025, 1, day, tzinfo=UTC), 300)
     packet = mk_classified(proto(ProtoTag.QUIC))
-    return (label, [packet] * (ppm * 5))
+    return (label, tally([packet] * (ppm * 5)))
 
 
 @criterion(5, "Per-app rates within 1 ppm; means ratio 5.3 +-0.05; top ratio 7.53 +-0.01")
@@ -233,7 +234,7 @@ def test_criterion_6_quic_taxonomy():
             ]
         else:
             records = [mk_record(ts_ns=0, payload=build_app_data(rng))]
-        return (label, classify_capture(records))
+        return (label, tally(classify_capture(records)))
 
     a = [quic_capture("both", True, 1), quic_capture("only.a", True, 1),
          quic_capture("adopted", False, 1), quic_capture("neither", False, 1)]
@@ -285,9 +286,9 @@ def test_criterion_8_keylog_closed_loop(tmp_path):
 
     from appcap.ingest import decode_stream, read_capture as read
 
-    classified = classify_capture(decode_stream(read(capture.read_bytes())))
+    classified, states = classify_with_states(decode_stream(read(capture.read_bytes())))
     full_index = parse_keylog(keylog_path.read_text())
-    full = key_coverage(classified, full_index)
+    full = key_coverage(classified, full_index, states)
     assert full.flows_with_client_hello == 5
     assert full.coverage_fraction == 1.0
 
@@ -295,7 +296,7 @@ def test_criterion_8_keylog_closed_loop(tmp_path):
     dropped_random = sorted(full_index.by_random)[0].hex()
     kept_lines = [line for line in keylog_path.read_text().splitlines()
                   if dropped_random not in line]
-    reduced = key_coverage(classified, parse_keylog("\n".join(kept_lines)))
+    reduced = key_coverage(classified, parse_keylog("\n".join(kept_lines)), states)
     assert reduced.coverage_fraction == pytest.approx(
         full.coverage_fraction - 1 / full.flows_with_client_hello
     )

@@ -1,10 +1,14 @@
+from collections import Counter
 from datetime import datetime, timezone
 
 import pytest
 from helpers import mk_classified, proto
+from hypothesis import given
+from hypothesis import strategies as st
+from test_properties import MANY, _build_packets, packet_specs
 
 from appcap.analytics import (
-    FlowGraphMode,
+    ENCRYPTED_TAGS,
     NoCommonApps,
     Scope,
     compare_datasets,
@@ -12,14 +16,16 @@ from appcap.analytics import (
     encryption_breakdown,
     flow_graph,
     mean_ppm_per_app,
+    merged,
     packets_per_minute,
     protocol_distribution,
     quic_behavior_for,
     QuicBehavior,
+    tally,
     temporal_histogram,
 )
 from appcap.classify import ProtoTag, classify_capture
-from appcap.dataset import CaptureLabel
+from appcap.dataset import CaptureLabel, truncate_packets
 from appcap.synth import (
     CaptureSpec,
     FixtureSpec,
@@ -51,13 +57,18 @@ def classified_capture(app: str, *specs: tuple[str, int], seed=0):
     return result.label, classify_capture(result.records)
 
 
+def tallied_capture(app: str, *specs: tuple[str, int], seed=0):
+    lab, classified = classified_capture(app, *specs, seed=seed)
+    return lab, tally(classified)
+
+
 BACKGROUND = [("Do53", 14), ("ConnectivityHttp", 4), ("Tls13", 487), ("DoT", 17)]
 
 
 class TestDistribution:
     def test_background_fixture_counts(self):
         _, classified = classified_capture("background", *BACKGROUND)
-        dist = protocol_distribution(classified)
+        dist = protocol_distribution(tally(classified))
         assert dist.total == 526
         assert dist.counts == {
             ("UDP", "Do53"): 14,
@@ -67,7 +78,7 @@ class TestDistribution:
         }
 
     def test_empty_input(self):
-        dist = protocol_distribution([])
+        dist = protocol_distribution(tally([]))
         assert dist.total == 0
         assert dist.counts == {}
         assert dist.percentages == {}
@@ -75,52 +86,47 @@ class TestDistribution:
     def test_transport_split_percentages(self):
         packets = [mk_classified(proto(ProtoTag.TLS, TlsVersion.TLS1_3), ts_ns=i) for i in range(546)]
         packets += [mk_classified(proto(ProtoTag.QUIC), ts_ns=i) for i in range(454)]
-        dist = protocol_distribution(packets, Scope.APP_DATA_ONLY)
+        dist = protocol_distribution(tally(packets), Scope.APP_DATA_ONLY)
         totals = dist.transport_totals()
         assert totals["TCP"][1] == pytest.approx(54.6)
         assert totals["UDP"][1] == pytest.approx(45.4)
 
     def test_app_data_scope_filters(self):
         _, classified = classified_capture("bg", *BACKGROUND)
-        dist = protocol_distribution(classified, Scope.APP_DATA_ONLY)
+        dist = protocol_distribution(tally(classified), Scope.APP_DATA_ONLY)
         assert dist.counts[("TCP", "TLSv1.3")] == 487
         assert dist.counts[("TCP", "DoT")] == 17
 
     def test_nonzero_percentages_sum_to_100(self):
         _, classified = classified_capture("bg", *BACKGROUND)
-        dist = protocol_distribution(classified)
+        dist = protocol_distribution(tally(classified))
         assert sum(dist.percentages.values()) == pytest.approx(100.0, abs=0.1)
 
 
 class TestPpm:
     def test_labeled_duration(self):
         packets = [mk_classified(proto(ProtoTag.QUIC), ts_ns=i) for i in range(600)]
-        assert packets_per_minute(packets, label("x", duration=120)) == 300.0
+        assert packets_per_minute(tally(packets), label("x", duration=120)) == 300.0
 
     def test_zero_packets(self):
-        assert packets_per_minute([], label("x")) == 0.0
+        assert packets_per_minute(tally([]), label("x")) == 0.0
 
     def test_spotify_rate(self):
         one = mk_classified(proto(ProtoTag.QUIC))
         packets = [one] * 11240
-        assert packets_per_minute(packets, label("com.spotify.music", duration=300)) == 2248.0
-
-    def test_unlabeled_uses_span(self):
-        packets = [
-            mk_classified(proto(ProtoTag.QUIC), ts_ns=0),
-            mk_classified(proto(ProtoTag.QUIC), ts_ns=120 * 10**9),
-        ]
-        assert packets_per_minute(packets) == 1.0
+        assert packets_per_minute(tally(packets), label("com.spotify.music", duration=300)) == 2248.0
 
     def test_duration_floored_at_one_second(self):
         packets = [mk_classified(proto(ProtoTag.QUIC), ts_ns=i) for i in range(10)]
-        assert packets_per_minute(packets) == 600.0
+        assert packets_per_minute(tally(packets), label("x", duration=1)) == 600.0
+        with pytest.raises(ValueError):
+            label("x", duration=0)
 
     def test_mean_per_app(self):
         one = mk_classified(proto(ProtoTag.QUIC))
         captures = [
-            (label("app", day=1), [one] * 500),   # 100 ppm over 300 s
-            (label("app", day=2), [one] * 1500),  # 300 ppm
+            (label("app", day=1), tally([one] * 500)),   # 100 ppm over 300 s
+            (label("app", day=2), tally([one] * 1500)),  # 300 ppm
         ]
         records = mean_ppm_per_app(captures)
         assert len(records) == 1
@@ -131,18 +137,18 @@ class TestPpm:
         packets = [mk_classified(proto(ProtoTag.QUIC), ts_ns=t) for t in (5, 1, 9, 3)]
         shuffled = [packets[2], packets[0], packets[3], packets[1]]
         lab = label("x", duration=60)
-        assert packets_per_minute(packets, lab) == packets_per_minute(shuffled, lab)
+        assert packets_per_minute(tally(packets), lab) == packets_per_minute(tally(shuffled), lab)
 
     def test_linear_in_packet_count(self):
         one = mk_classified(proto(ProtoTag.QUIC))
         lab = label("x", duration=120)
-        base = packets_per_minute([one] * 100, lab)
-        assert packets_per_minute([one] * 300, lab) == pytest.approx(3 * base)
+        base = packets_per_minute(tally([one] * 100), lab)
+        assert packets_per_minute(tally([one] * 300), lab) == pytest.approx(3 * base)
 
     def test_dataset_means_and_ratio(self):
         one = mk_classified(proto(ProtoTag.QUIC))
-        a = [(label(f"app{i}"), [one] * (21288 * 5)) for i in range(3)]
-        b = [(label(f"app{i}"), [one] * (4019 * 5)) for i in range(3)]
+        a = [(label(f"app{i}"), tally([one] * (21288 * 5))) for i in range(3)]
+        b = [(label(f"app{i}"), tally([one] * (4019 * 5))) for i in range(3)]
         mean_a = dataset_mean_ppm(mean_ppm_per_app(a))
         mean_b = dataset_mean_ppm(mean_ppm_per_app(b))
         assert mean_a == 21288.0
@@ -212,13 +218,13 @@ def version_mix(counts: dict[TlsVersion, int], tag=ProtoTag.TLS):
 class TestEncryptionBreakdown:
     def test_dominant_tls13_shares(self):
         packets = version_mix({TlsVersion.TLS1_3: 900, TlsVersion.TLS1_2: 96, TlsVersion.TLS1_0: 4})
-        breakdown = encryption_breakdown(packets)
+        breakdown = encryption_breakdown(tally(packets))
         assert breakdown.tcp_encrypted_pct[TlsVersion.TLS1_3] == pytest.approx(90.0, abs=0.1)
         assert breakdown.tcp_encrypted_pct[TlsVersion.TLS1_2] == pytest.approx(9.6, abs=0.1)
 
     def test_dot_version_mix(self):
         packets = version_mix({TlsVersion.TLS1_3: 977, TlsVersion.TLS1_2: 23}, tag=ProtoTag.DOT)
-        breakdown = encryption_breakdown(packets)
+        breakdown = encryption_breakdown(tally(packets))
         assert breakdown.dot_version_pct[TlsVersion.TLS1_3] == pytest.approx(97.7, abs=0.1)
         assert breakdown.dot_pct_of_total == pytest.approx(100.0)
 
@@ -226,12 +232,12 @@ class TestEncryptionBreakdown:
         packets = version_mix({TlsVersion.TLS1_3: 547}) + [
             mk_classified(proto(ProtoTag.QUIC), ts_ns=1000 + i) for i in range(453)
         ]
-        breakdown = encryption_breakdown(packets)
+        breakdown = encryption_breakdown(tally(packets))
         assert breakdown.quic_share_pct == pytest.approx(45.3, abs=0.1)
 
     def test_no_encrypted_traffic(self):
         packets = [mk_classified(proto(ProtoTag.HTTP), ts_ns=i) for i in range(5)]
-        breakdown = encryption_breakdown(packets)
+        breakdown = encryption_breakdown(tally(packets))
         assert breakdown.tcp_encrypted_total == 0
         assert breakdown.tcp_encrypted_pct == {}
         assert breakdown.quic_share_pct == 0.0
@@ -241,19 +247,19 @@ class TestEncryptionBreakdown:
 class TestFlowGraph:
     def test_sankey_single_https_flow(self):
         packets = [mk_classified(proto(ProtoTag.TLS, TlsVersion.TLS1_3), ts_ns=i) for i in range(10)]
-        graph = flow_graph([("app", packets)], FlowGraphMode.SANKEY3)
+        graph = flow_graph(tally(packets))
         links = {(src, dst): n for src, dst, n in graph.links}
         assert links[((0, "TCP"), (1, "Encrypted"))] == 10
         assert links[((1, "Encrypted"), (2, "TLSv1.3"))] == 10
 
     def test_sankey_cleartext_stage(self):
         packets = [mk_classified(proto(ProtoTag.DO53), ts_ns=i) for i in range(3)]
-        graph = flow_graph([("app", packets)], FlowGraphMode.SANKEY3)
+        graph = flow_graph(tally(packets))
         assert ((0, "UDP"), (1, "Cleartext")) in {(s, d) for s, d, _ in graph.links}
 
     def test_interior_conservation(self):
         _, classified = classified_capture("bg", *BACKGROUND)
-        graph = flow_graph([("bg", classified)], FlowGraphMode.SANKEY3)
+        graph = flow_graph(tally(classified))
         inflow: dict = {}
         outflow: dict = {}
         for src, dst, n in graph.links:
@@ -263,41 +269,25 @@ class TestFlowGraph:
             if node[0] == 1:  # interior stage
                 assert inflow[node] == outflow[node]
 
-    def test_comm_graph_destination_ports(self):
-        packets = []
-        for port, tag in [(443, ProtoTag.TLS), (853, ProtoTag.DOT), (80, ProtoTag.HTTP),
-                          (53, ProtoTag.DO53)]:
-            version = TlsVersion.TLS1_3 if tag in (ProtoTag.TLS, ProtoTag.DOT) else None
-            packets.append(mk_classified(proto(tag, version), dst_port=port))
-        graph = flow_graph([("com.reddit.frontpage", packets)], FlowGraphMode.COMM_GRAPH6)
-        port_nodes = {label for stage, label in graph.nodes if stage == 3}
-        assert port_nodes == {"443", "853", "80", "53"}
-
-    def test_comm_graph_port_intervals(self):
-        packets = [mk_classified(proto(ProtoTag.TLS, TlsVersion.TLS1_3), src_port=40000)]
-        graph = flow_graph([("app", packets)], FlowGraphMode.COMM_GRAPH6)
-        intervals = {label for stage, label in graph.nodes if stage == 2}
-        assert intervals == {"36864-40959"}
-
 
 def dns_dataset(app: str, do53: int, dot: int, seed=0):
-    return classified_capture(app, ("Do53", do53), ("DoT", dot), seed=seed)
+    return tallied_capture(app, ("Do53", do53), ("DoT", dot), seed=seed)
 
 
 class TestCompare:
     def test_common_apps_intersection(self):
-        one = mk_classified(proto(ProtoTag.QUIC))
-        a = [(label(app), [one]) for app in ("a", "b", "c")]
-        b = [(label(app), [one]) for app in ("b", "c", "d")]
+        one = tally([mk_classified(proto(ProtoTag.QUIC))])
+        a = [(label(app), one) for app in ("a", "b", "c")]
+        b = [(label(app), one) for app in ("b", "c", "d")]
         report = compare_datasets(a, b)
         assert report.common_apps == ("b", "c")
         swapped = compare_datasets(b, a)
         assert swapped.common_apps == report.common_apps
 
     def test_no_common_apps(self):
-        one = mk_classified(proto(ProtoTag.QUIC))
+        one = tally([mk_classified(proto(ProtoTag.QUIC))])
         with pytest.raises(NoCommonApps):
-            compare_datasets([(label("a"), [one])], [(label("b"), [one])])
+            compare_datasets([(label("a"), one)], [(label("b"), one)])
 
     def test_dns_evolution_paper_calibration(self):
         a = [dns_dataset("app", 910, 90, seed=1)]
@@ -313,16 +303,16 @@ class TestCompare:
         quic = [("QuicV1", 4)]
         tls = [("Tls13", 4)]
         a = [
-            classified_capture("both", *quic, seed=3),
-            classified_capture("only_a", *quic, seed=4),
-            classified_capture("adopted", *tls, seed=5),
-            classified_capture("neither", *tls, seed=6),
+            tallied_capture("both", *quic, seed=3),
+            tallied_capture("only_a", *quic, seed=4),
+            tallied_capture("adopted", *tls, seed=5),
+            tallied_capture("neither", *tls, seed=6),
         ]
         b = [
-            classified_capture("both", *quic, seed=7),
-            classified_capture("only_a", *tls, seed=8),
-            classified_capture("adopted", *quic, seed=9),
-            classified_capture("neither", *tls, seed=10),
+            tallied_capture("both", *quic, seed=7),
+            tallied_capture("only_a", *tls, seed=8),
+            tallied_capture("adopted", *quic, seed=9),
+            tallied_capture("neither", *tls, seed=10),
         ]
         report = compare_datasets(a, b)
         assert report.quic_behavior["both"] is QuicBehavior.CONSISTENT_BOTH
@@ -337,33 +327,75 @@ class TestCompare:
         assert quic_behavior_for(0, 0) is QuicBehavior.ABSENT_BOTH
 
     def test_bihistogram_versions(self):
-        a = [classified_capture("app", ("Tls12", 6), seed=11)]
-        b = [classified_capture("app", ("Tls13", 8), seed=12)]
+        a = [tallied_capture("app", ("Tls12", 6), seed=11)]
+        b = [tallied_capture("app", ("Tls13", 8), seed=12)]
         report = compare_datasets(a, b)
         hist = report.encryption_bihistogram["app"]
         assert hist["TLSv1.2"] == (8, 0)   # CH + SH + 6 app records
         assert hist["TLSv1.3"] == (0, 10)
 
     def test_per_app_fields_keyed_by_common(self):
-        one = mk_classified(proto(ProtoTag.QUIC))
-        a = [(label("a"), [one]), (label("shared"), [one])]
-        b = [(label("shared"), [one]), (label("d"), [one])]
+        one = tally([mk_classified(proto(ProtoTag.QUIC))])
+        a = [(label("a"), one), (label("shared"), one)]
+        b = [(label("shared"), one), (label("d"), one)]
         report = compare_datasets(a, b)
         assert set(report.encryption_bihistogram) == {"shared"}
         assert set(report.quic_behavior) == {"shared"}
         assert {row.app_name for row in report.ppm_rows} == {"shared"}
 
     def test_truncation_noop_for_short_captures(self):
-        a = [dns_dataset("app", 20, 10, seed=13)]
-        b = [dns_dataset("app", 10, 20, seed=14)]
-        untruncated = compare_datasets(a, b)
-        truncated = compare_datasets(a, b, truncate_min=5)
+        a_lab, a_packets = classified_capture("app", ("Do53", 20), ("DoT", 10), seed=13)
+        b_lab, b_packets = classified_capture("app", ("Do53", 10), ("DoT", 20), seed=14)
+        untruncated = compare_datasets([(a_lab, tally(a_packets))], [(b_lab, tally(b_packets))])
+        truncated = compare_datasets(
+            [(a_lab, tally(truncate_packets(a_packets, 5)))],
+            [(b_lab, tally(truncate_packets(b_packets, 5)))],
+        )
         assert untruncated.dns_evolution == truncated.dns_evolution
         assert untruncated.mean_ppm_a == truncated.mean_ppm_a
 
     def test_chess_style_ratio(self):
         one = mk_classified(proto(ProtoTag.QUIC))
-        a = [(label("com.chess"), [one] * (1000 * 5))]
-        b = [(label("com.chess"), [one] * (7530 * 5))]
+        a = [(label("com.chess"), tally([one] * (1000 * 5)))]
+        b = [(label("com.chess"), tally([one] * (7530 * 5)))]
         report = compare_datasets(a, b)
         assert report.ppm_rows[0].ratio_b_over_a == pytest.approx(7.53, abs=0.01)
+
+
+class TestTally:
+    """Summed per-capture tallies reduce exactly as one tally of every packet,
+    and each reducer counts what a pass over the packets counts."""
+
+    @MANY
+    @given(specs=packet_specs, data=st.data())
+    def test_per_capture_tallies_merge_like_one_tally(self, specs, data):
+        packets = _build_packets(specs)
+        owners = data.draw(st.lists(st.integers(0, 4), min_size=len(packets), max_size=len(packets)))
+        captures = [
+            (label("app"), tally(cp for cp, owner in zip(packets, owners) if owner == capture))
+            for capture in range(5)
+        ]
+        whole = tally(packets)
+        parts = merged(captures)
+        for scope in Scope:
+            assert protocol_distribution(parts, scope) == protocol_distribution(whole, scope)
+        assert encryption_breakdown(parts) == encryption_breakdown(whole)
+        assert flow_graph(parts) == flow_graph(whole)
+
+        app_data = [cp for cp in packets if cp.is_app_data]
+        for scope, scoped in ((Scope.ALL_PACKETS, packets), (Scope.APP_DATA_ONLY, app_data)):
+            expected = Counter((cp.record.transport.value, cp.protocol.category) for cp in scoped)
+            assert protocol_distribution(parts, scope).counts == expected
+        tcp_versions = Counter(
+            cp.protocol.tls_version for cp in app_data if cp.protocol.tag in (ProtoTag.TLS, ProtoTag.DOT)
+        )
+        breakdown = encryption_breakdown(parts)
+        assert breakdown.tcp_encrypted_counts == tcp_versions
+        assert breakdown.total_app_data == len(app_data)
+        assert breakdown.quic_total == sum(cp.protocol.tag is ProtoTag.QUIC for cp in app_data)
+        links = Counter()
+        for cp in app_data:
+            status = "Encrypted" if cp.protocol.tag in ENCRYPTED_TAGS else "Cleartext"
+            links[((0, cp.record.transport.value), (1, status))] += 1
+            links[((1, status), (2, cp.protocol.category))] += 1
+        assert {(src, dst): n for src, dst, n in flow_graph(parts).links} == links

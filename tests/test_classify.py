@@ -13,7 +13,6 @@ from appcap.classify import (
     FlowTable,
     ProtoTag,
     classify_capture,
-    classify_dns,
     detect_quic,
     dns_query_name,
 )
@@ -182,7 +181,7 @@ class TestDnsAndDot:
     def test_udp_do53_query(self):
         record = mk_record(transport=Transport.UDP, dst_ip="8.8.8.8", dst_port=53,
                            payload=build_dns_query(77, "www.google.com"))
-        assert classify_dns(record) == AppProtocol(ProtoTag.DO53)
+        assert FlowTable().classify(record).protocol == AppProtocol(ProtoTag.DO53)
         out = classify_capture([record])
         assert out[0].protocol.tag is ProtoTag.DO53
         assert out[0].is_app_data
@@ -200,7 +199,7 @@ class TestDnsAndDot:
 
     def test_malformed_dns_falls_through(self):
         record = mk_record(transport=Transport.UDP, dst_port=53, payload=b"\x01\x02\x03")
-        assert classify_dns(record) is None
+        assert FlowTable().classify(record).protocol.tag is not ProtoTag.DO53
         assert classify_capture([record])[0].protocol.tag is ProtoTag.OTHER_UDP
 
     def test_dot_flow_versions_and_app_data(self):

@@ -40,6 +40,13 @@ def schema():
     return json.loads(text)
 
 
+def keylog_with_bad_bytes(background_dir, tmp_path):
+    keylog = tmp_path / "sslkeylog_bad.txt"
+    text = next(background_dir.glob("sslkeylog_*.txt")).read_bytes()
+    keylog.write_bytes(text + b"CLIENT_RANDOM \xff\xfe zz\n")
+    return keylog
+
+
 class TestAnalyze:
     def test_background_distribution_matches(self, background_dir, tmp_path, schema):
         capture = next(background_dir.glob("*.pcap"))
@@ -74,6 +81,13 @@ class TestAnalyze:
         keylog = next(background_dir.glob("sslkeylog_*.txt"))
         envelope = run_json(["analyze", str(capture), "--keylog", str(keylog)], tmp_path)
         jsonschema.validate(envelope, schema)
+        assert envelope["body"]["coverage"]["coverage_fraction"] == 1.0
+
+    def test_non_utf8_keylog_line_counts_as_malformed(self, background_dir, tmp_path):
+        capture = next(background_dir.glob("*.pcap"))
+        keylog = keylog_with_bad_bytes(background_dir, tmp_path)
+        envelope = run_json(["analyze", str(capture), "--keylog", str(keylog)], tmp_path)
+        assert envelope["body"]["coverage"]["keylog_malformed_lines"] == 1
         assert envelope["body"]["coverage"]["coverage_fraction"] == 1.0
 
     def test_csv_columns_fixed(self, background_dir, tmp_path):
@@ -202,6 +216,20 @@ class TestCompare:
         other = write_dns_dataset(tmp_path, "c", 4, 4, seed=24)
         assert main(["compare", str(background_dir), str(other)]) == 3
 
+    def test_truncated_sankey_matches_distribution(self, tmp_path):
+        # Do53 runs 0-20 s and DoT 60-80 s, so a 66 s cutoff drops part of the DoT.
+        dir_a = write_dns_dataset(tmp_path, "a4", 400, 400, seed=27)
+        dir_b = write_dns_dataset(tmp_path, "b4", 400, 400, seed=28)
+        full = run_json(["compare", str(dir_a), str(dir_b)], tmp_path, "full.json")["body"]
+        cut = run_json(
+            ["compare", str(dir_a), str(dir_b), "--truncate-min", "1.1"], tmp_path, "cut.json"
+        )["body"]
+        for side in ("a", "b"):
+            total = cut[f"distribution_{side}"]["total"]
+            assert total < full[f"distribution_{side}"]["total"]
+            stage0 = [l for l in cut[f"sankey_{side}"]["links"] if l["source"][0] == 0]
+            assert sum(l["packets"] for l in stage0) == total
+
     def test_compare_csv_shape(self, tmp_path):
         dir_a = write_dns_dataset(tmp_path, "a3", 20, 10, seed=25)
         dir_b = write_dns_dataset(tmp_path, "b3", 10, 20, seed=26)
@@ -221,6 +249,13 @@ class TestKeycov:
         coverage = envelope["body"]["coverage"]
         assert coverage["coverage_fraction"] == 1.0
         assert coverage["flows_with_client_hello"] == 2  # Tls13 + DoT flows
+
+    def test_non_utf8_keylog_line_counts_as_malformed(self, background_dir, tmp_path):
+        capture = next(background_dir.glob("*.pcap"))
+        keylog = keylog_with_bad_bytes(background_dir, tmp_path)
+        envelope = run_json(["keycov", str(capture), str(keylog)], tmp_path)
+        assert envelope["body"]["coverage"]["keylog_malformed_lines"] == 1
+        assert envelope["body"]["coverage"]["coverage_fraction"] == 1.0
 
 
 class TestBaseline:

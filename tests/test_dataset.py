@@ -74,10 +74,6 @@ class TestFilenameGrammar:
         label = CaptureLabel("my_app.with_underscores", datetime(2031, 12, 31, 23, 59, 59, tzinfo=UTC), 86400)
         assert parse_capture_filename(render_capture_filename(label)) == label
 
-    def test_pluggable_date_format(self):
-        label = parse_capture_filename("app_2025-03-14T10:15:00_60.pcap", date_format="%Y-%m-%dT%H:%M:%S")
-        assert label.capture_date == datetime(2025, 3, 14, 10, 15, 0, tzinfo=UTC)
-
     def test_naive_dates_become_utc(self):
         label = CaptureLabel("a", datetime(2025, 1, 1, 12, 0, 0), 10)
         assert label.capture_date.tzinfo == UTC

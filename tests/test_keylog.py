@@ -1,18 +1,18 @@
 import random
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
-from helpers import mk_record
+from helpers import classify_with_states, mk_record
 
-from appcap.classify import classify_capture
-from appcap.dataset import BadExtension, CaptureLabel
+from appcap.dataset import CaptureLabel, render_capture_filename, scan_dataset
 from appcap.keylog import (
     KeyIndex,
     KeyLogEntry,
     key_coverage,
     keylog_filename_for,
     parse_keylog,
-    parse_keylog_filename,
+    read_keylog,
     render_keylog,
 )
 from appcap.synth import build_app_data, build_client_hello, build_server_hello
@@ -79,6 +79,18 @@ class TestParse:
         index = parse_keylog(f"CLIENT_RANDOM {'zz' * 32} 00ff\n")
         assert index.malformed_lines == 1
 
+    def test_undecodable_bytes_spoil_only_their_line(self, tmp_path):
+        good, bad_label = entry(4), entry(5)
+        path = tmp_path / "keys.txt"
+        path.write_bytes(
+            render_keylog([good]).encode()
+            + b"CLIENT_RANDOM \xff\xfe zz\n"
+            + render_keylog([bad_label]).replace(" ", "\xff ", 1).encode("latin-1")
+        )
+        index = read_keylog(path)
+        assert index.by_random == {good.client_random: [good]}
+        assert index.malformed_lines == 2
+
     def test_extra_fields_malformed(self):
         e = entry(4)
         index = parse_keylog(f"A {e.client_random.hex()} {e.secret.hex()} extra\n")
@@ -98,19 +110,19 @@ class TestCoverage:
         records = []
         for i, cr in enumerate(randoms):
             records += tls_flow_records(40000 + i, cr)
-        classified = classify_capture(records)
+        classified, states = classify_with_states(records)
         index = KeyIndex()
         index.add(KeyLogEntry("CLIENT_RANDOM", randoms[0], b"\x01"))
         index.add(KeyLogEntry("CLIENT_RANDOM", randoms[1], b"\x02"))
-        report = key_coverage(classified, index)
+        report = key_coverage(classified, index, states)
         assert report.tls_flows == 3
         assert report.flows_with_client_hello == 3
         assert report.flows_with_keys == 2
         assert report.coverage_fraction == pytest.approx(2 / 3)
 
     def test_no_tls_flows_reports_zero(self):
-        classified = classify_capture([mk_record(dst_port=9999, payload=b"\x00\x01")])
-        report = key_coverage(classified, KeyIndex())
+        classified, states = classify_with_states([mk_record(dst_port=9999, payload=b"\x00\x01")])
+        report = key_coverage(classified, KeyIndex(), states)
         assert report.tls_flows == 0
         assert report.coverage_fraction == 0.0
 
@@ -118,8 +130,8 @@ class TestCoverage:
         records = tls_flow_records(40000, random.Random(20).randbytes(32))
         records.append(mk_record(ts_ns=50, src_port=40005,
                                  payload=build_app_data(random.Random(21))))
-        classified = classify_capture(records)
-        report = key_coverage(classified, KeyIndex())
+        classified, states = classify_with_states(records)
+        report = key_coverage(classified, KeyIndex(), states)
         assert report.tls_flows == 2
         assert report.flows_with_client_hello == 1
 
@@ -137,12 +149,12 @@ class TestCoverage:
         records = []
         for i, cr in enumerate(randoms):
             records += tls_flow_records(41000 + i, cr)
-        classified = classify_capture(records)
+        classified, states = classify_with_states(records)
         index = KeyIndex()
-        last = key_coverage(classified, index).coverage_fraction
+        last = key_coverage(classified, index, states).coverage_fraction
         for cr in randoms:
             index.add(KeyLogEntry("CLIENT_RANDOM", cr, b"\x01"))
-            now = key_coverage(classified, index).coverage_fraction
+            now = key_coverage(classified, index, states).coverage_fraction
             assert now >= last
             last = now
         assert last == 1.0
@@ -156,7 +168,10 @@ class TestFilenames:
         )
 
     def test_round_trip(self):
-        assert parse_keylog_filename(keylog_filename_for(LABEL_CHESS)) == LABEL_CHESS
+        paths = [Path(render_capture_filename(LABEL_CHESS)), Path(keylog_filename_for(LABEL_CHESS))]
+        (entry,) = scan_dataset(paths).entries
+        assert entry.label == LABEL_CHESS
+        assert entry.keylog_path == paths[1]
 
     def test_underscore_app_name_right_anchored(self):
         label = CaptureLabel(
@@ -166,8 +181,12 @@ class TestFilenames:
         )
         name = keylog_filename_for(label)
         assert name == "sslkeylog_wsj.reader_sp_20250314T101500Z_300.txt"
-        assert parse_keylog_filename(name) == label
+        (entry,) = scan_dataset([Path(render_capture_filename(label)), Path(name)]).entries
+        assert entry.label == label
+        assert entry.keylog_path == Path(name)
 
     def test_bad_prefix_rejected(self):
-        with pytest.raises(BadExtension):
-            parse_keylog_filename("keys_com.chess_20250314T101500Z_300.txt")
+        name = "keys_com.chess_20250314T101500Z_300.txt"
+        manifest = scan_dataset([Path(render_capture_filename(LABEL_CHESS)), Path(name)])
+        assert manifest.entries[0].keylog_path is None
+        assert manifest.unpaired_keylogs == []

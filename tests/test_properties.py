@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from helpers import mk_classified, mk_record, proto
 
-from appcap.analytics import protocol_distribution, temporal_histogram
+from appcap.analytics import protocol_distribution, tally, temporal_histogram
 from appcap.classify import FlowState, ProtoTag, classify_capture
 from appcap.dataset import (
     CaptureLabel,
@@ -157,7 +157,7 @@ def test_histogram_conservation(specs):
 @given(specs=packet_specs)
 def test_distribution_percentages_sum_to_100(specs):
     packets = _build_packets(specs)
-    dist = protocol_distribution(packets)
+    dist = protocol_distribution(tally(packets))
     if dist.total:
         assert abs(sum(dist.percentages.values()) - 100.0) <= 0.1
     else:

@@ -2,6 +2,7 @@ import json
 from collections import Counter
 
 import pytest
+from helpers import classify_with_states
 
 from appcap.classify import classify_capture
 from appcap.dataset import parse_capture_filename, scan_directory
@@ -155,8 +156,8 @@ class TestProfiles:
     def test_tls13_keylog_contains_client_random(self):
         result = capture_for(("Tls13", 2))
         index = parse_keylog(result.keylog_text)
-        classified = classify_capture(result.records)
-        report = key_coverage(classified, index)
+        classified, states = classify_with_states(result.records)
+        report = key_coverage(classified, index, states)
         assert report.flows_with_client_hello == 1
         assert report.coverage_fraction == 1.0
 
