@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .ingest import PacketRecord, Transport
 from .tlswire import (
@@ -104,16 +105,31 @@ class FlowState:
         return self.negotiated_tls or self.client_hello_version_hint or TlsVersion.UNKNOWN
 
 
-@dataclass(frozen=True, slots=True)
-class ClassifiedPacket:
+class _ClassifiedPacketFields(NamedTuple):
     record: PacketRecord
     protocol: AppProtocol
     is_app_data: bool
     flow: FlowKey
 
-    def __post_init__(self):
-        if self.is_app_data and not self.record.payload:
+
+class ClassifiedPacket(_ClassifiedPacketFields):
+    """A packet with its application protocol and flow.
+
+    Immutable and hashable; being a tuple, it equals a plain tuple of the
+    same fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, record: PacketRecord, protocol: AppProtocol, is_app_data: bool, flow: FlowKey):
+        if is_app_data and not record.payload:
             raise ValueError("app-data packets must carry payload")
+        return tuple.__new__(cls, (record, protocol, is_app_data, flow))
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through here; keep it behind the check.
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -123,6 +139,11 @@ class QuicInfo:
     long_header: bool
     version: int | None = None
     long_packet_type: int | None = None
+
+
+# Short headers carry no version or type, so one instance serves them all.
+_SHORT_HEADER = QuicInfo(long_header=False)
+_U32 = struct.Struct(">I")
 
 
 def detect_quic(payload: bytes, quic_seen: bool = False) -> QuicInfo | None:
@@ -138,7 +159,7 @@ def detect_quic(payload: bytes, quic_seen: bool = False) -> QuicInfo | None:
     if b0 & 0x80:
         if not b0 & 0x40 or len(payload) < 7:
             return None
-        version = struct.unpack(">I", payload[1:5])[0]
+        version = _U32.unpack_from(payload, 1)[0]
         if version == 0:
             return QuicInfo(long_header=True, version=0)
         if version not in _QUIC_KNOWN_VERSIONS:
@@ -149,7 +170,7 @@ def detect_quic(payload: bytes, quic_seen: bool = False) -> QuicInfo | None:
             packet_type = _QUIC_V2_TYPES[packet_type]
         return QuicInfo(long_header=True, version=version, long_packet_type=packet_type)
     if quic_seen and b0 & 0x40:
-        return QuicInfo(long_header=False)
+        return _SHORT_HEADER
     return None
 
 
@@ -242,17 +263,15 @@ class FlowTable:
             return ClassifiedPacket(record, protocol, False, key)
 
         tls_ok = False
-        records: list[TlsRecordView] = []
-        partial_app_data = False
+        has_app_record = False
         if is_tcp:
             tls_ok, records, partial_app_data = _ingest_tls(
                 state, sender, payload, record.payload_truncated
             )
             _absorb_hellos(state, records)
-
-        has_app_record = partial_app_data or any(
-            r.content_type == CONTENT_APPLICATION_DATA for r in records
-        )
+            has_app_record = partial_app_data or any(
+                r.content_type == CONTENT_APPLICATION_DATA for r in records
+            )
 
         protocol: AppProtocol
         is_app_data: bool

@@ -8,15 +8,15 @@ duration, the one before it the date, everything else the app name.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import re
-import struct
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .classify import ClassifiedPacket, ProtoTag, dns_query_name
+from .classify import ClassifiedPacket, ProtoTag, dns_message, dns_query_name
 from .ingest import Transport
 
 DATE_FORMAT = "%Y%m%dT%H%M%SZ"
@@ -164,12 +164,12 @@ def truncate_packets(
     if not packets:
         return []
     ordered = list(packets)
-    if any(
-        ordered[i].record.ts_ns > ordered[i + 1].record.ts_ns for i in range(len(ordered) - 1)
-    ):
+    stamps = [cp.record.ts_ns for cp in ordered]
+    if stamps != sorted(stamps):
         ordered.sort(key=lambda cp: cp.record.ts_ns)
-    cutoff = ordered[0].record.ts_ns + int(minutes * 60 * 1_000_000_000)
-    return [cp for cp in ordered if cp.record.ts_ns < cutoff]
+        stamps.sort()
+    cutoff = stamps[0] + int(minutes * 60 * 1_000_000_000)
+    return ordered[: bisect.bisect_left(stamps, cutoff)]
 
 
 class BackgroundKind(enum.Enum):
@@ -222,9 +222,9 @@ def attribute_background(
         elif cp.protocol.tag is ProtoTag.DO53:
             name = dns_query_name(cp.record.payload, cp.record.transport)
             if name in CONNECTIVITY_DNS_NAMES:
-                txn = _dns_txn_id(cp.record.payload, cp.record.transport)
-                if txn is not None:
-                    connectivity_txns.add((cp.flow, txn))
+                # A parsed name means a DNS message; its first two bytes are the ID.
+                msg = dns_message(cp.record.payload, cp.record.transport)
+                connectivity_txns.add((cp.flow, msg[:2]))
 
     tags: list[BackgroundKind] = []
     for cp in classified:
@@ -237,18 +237,11 @@ def attribute_background(
             if http_flow_host.get(cp.flow) == CONNECTIVITY_HTTP_HOST:
                 tag = BackgroundKind.CONNECTIVITY_HTTP
         elif cp.protocol.tag is ProtoTag.DO53:
-            txn = _dns_txn_id(cp.record.payload, cp.record.transport)
-            if (cp.flow, txn) in connectivity_txns:
+            msg = dns_message(cp.record.payload, cp.record.transport)
+            if msg is not None and (cp.flow, msg[:2]) in connectivity_txns:
                 tag = BackgroundKind.CONNECTIVITY_DO53
         elif cp.protocol.tag is ProtoTag.DOT and baseline_mode:
             if {cp.record.src_ip, cp.record.dst_ip} & SYSTEM_DNS_IPS:
                 tag = BackgroundKind.SYSTEM_DOT
         tags.append(tag)
     return tags
-
-
-def _dns_txn_id(payload: bytes, transport: Transport) -> int | None:
-    msg = payload[2:] if transport is Transport.TCP else payload
-    if len(msg) < 2:
-        return None
-    return struct.unpack(">H", msg[:2])[0]

@@ -13,6 +13,7 @@ import functools
 import ipaddress
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # Classic pcap magic numbers as read from the first four file bytes.
 MAGIC_LE_US = b"\xd4\xc3\xb2\xa1"
@@ -37,7 +38,11 @@ IPPROTO_TCP = 6
 IPPROTO_UDP = 17
 
 _RECORD_HEADER = {"<": struct.Struct("<IIII"), ">": struct.Struct(">IIII")}
+# A record header's captured length (incl_len), read at its offset + 8.
+_INCL_LEN = {"<": struct.Struct("<I"), ">": struct.Struct(">I")}
 _U16 = struct.Struct(">H")
+# IPv4 total length and flags/fragment offset, read at the header's offset + 2.
+_IPV4_LEN_FRAG = struct.Struct(">H2xH")
 _PORTS = struct.Struct(">HH")
 _UDP_HEADER = struct.Struct(">HHH")
 
@@ -112,7 +117,6 @@ class Skip:
 @dataclass(frozen=True, slots=True)
 class RawFrame:
     ts_ns: int
-    linktype_id: int
     captured_len: int
     original_len: int
     frame_bytes: bytes
@@ -126,24 +130,49 @@ class RawFrame:
             raise ValueError("ts_ns must be non-negative")
 
 
+_ENDIAN = {ByteOrder.LITTLE: "<", ByteOrder.BIG: ">"}
+_SUBSEC_SCALE = {TsResolution.MICROSECOND: 1000, TsResolution.NANOSECOND: 1}
+
+
 @dataclass(frozen=True)
 class CaptureStream:
+    """A classic-pcap capture: its global header and where its records start.
+
+    ``data`` is the whole file and ``offsets`` the offsets of the record
+    headers that ``read_capture`` validated. ``decode_stream`` decodes the
+    frames in place; ``frames`` copies them out as RawFrames on first use.
+    """
+
     byte_order: ByteOrder
     ts_resolution: TsResolution
     linktype_id: int
     snaplen: int
-    frames: tuple[RawFrame, ...]
+    data: bytes = field(repr=False)
+    offsets: tuple[int, ...] = field(repr=False)
+
+    @functools.cached_property
+    def frames(self) -> tuple[RawFrame, ...]:
+        unpack_record = _RECORD_HEADER[_ENDIAN[self.byte_order]].unpack_from
+        scale = _SUBSEC_SCALE[self.ts_resolution]
+        data = self.data
+        frames = []
+        for offset in self.offsets:
+            ts_sec, ts_sub, incl_len, orig_len = unpack_record(data, offset)
+            start = offset + RECORD_HEADER_LEN
+            frames.append(
+                RawFrame(
+                    ts_sec * 1_000_000_000 + ts_sub * scale,
+                    incl_len,
+                    # Some writers put 0 or a stale value in orig_len; keep
+                    # the invariant captured <= original.
+                    max(orig_len, incl_len),
+                    data[start : start + incl_len],
+                )
+            )
+        return tuple(frames)
 
 
-@dataclass(frozen=True, slots=True)
-class PacketRecord:
-    """One decoded TCP or UDP packet.
-
-    ``packet_len`` is the original (on the wire) frame length; ``payload`` is
-    the transport payload as captured, possibly shorter than what the IP
-    headers declare (``payload_truncated`` is then set).
-    """
-
+class _PacketRecordFields(NamedTuple):
     ts_ns: int
     ip_version: int
     src_ip: str
@@ -156,20 +185,58 @@ class PacketRecord:
     tcp_flags: int | None = None
     payload_truncated: bool = False
 
-    def __post_init__(self):
-        if (self.tcp_flags is not None) != (self.transport is Transport.TCP):
+
+class PacketRecord(_PacketRecordFields):
+    """One decoded TCP or UDP packet.
+
+    ``packet_len`` is the original (on the wire) frame length; ``payload`` is
+    the transport payload as captured, possibly shorter than what the IP
+    headers declare (``payload_truncated`` is then set). Immutable and
+    hashable; being a tuple, it equals a plain tuple of the same fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        ts_ns: int,
+        ip_version: int,
+        src_ip: str,
+        dst_ip: str,
+        src_port: int,
+        dst_port: int,
+        transport: Transport,
+        packet_len: int,
+        payload: bytes,
+        tcp_flags: int | None = None,
+        payload_truncated: bool = False,
+    ):
+        if (tcp_flags is not None) != (transport is Transport.TCP):
             raise ValueError("tcp_flags present iff transport is TCP")
-        if len(self.payload) > self.packet_len:
+        if len(payload) > packet_len:
             raise ValueError("payload longer than packet_len")
+        return tuple.__new__(
+            cls,
+            (ts_ns, ip_version, src_ip, dst_ip, src_port, dst_port, transport, packet_len,
+             payload, tcp_flags, payload_truncated),
+        )
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through here; keep it behind the checks.
+        return cls(*iterable)
 
 
 def read_capture(data: bytes) -> CaptureStream:
-    """Parse classic-pcap bytes into a stream of raw frames.
+    """Parse classic-pcap framing: the global header and every record header.
 
     Raises UnknownMagic for anything that is not classic pcap (pcapng is
     deliberately unsupported), TruncatedHeader for a short global header and
-    TruncatedFrame when a record body ends early.
+    TruncatedFrame when a record ends early. Frame bodies are not copied or
+    decoded here.
     """
+    if not isinstance(data, bytes):
+        data = bytes(data)  # the stream keeps the buffer; later writes must not reach it
     if len(data) >= 4 and data[:4] == PCAPNG_MAGIC:
         raise UnknownMagic("pcapng is not supported; use classic pcap")
     if len(data) >= 4 and data[:4] not in (MAGIC_LE_US, MAGIC_BE_US, MAGIC_LE_NS, MAGIC_BE_NS):
@@ -184,47 +251,29 @@ def read_capture(data: bytes) -> CaptureStream:
     resolution = (
         TsResolution.NANOSECOND if magic in (MAGIC_LE_NS, MAGIC_BE_NS) else TsResolution.MICROSECOND
     )
-    endian = "<" if order is ByteOrder.LITTLE else ">"
+    endian = _ENDIAN[order]
     _vmaj, _vmin, _tz, _sig, snaplen, linktype = struct.unpack(
         endian + "HHiIII", data[4:GLOBAL_HEADER_LEN]
     )
 
-    frames: list[RawFrame] = []
-    offset = GLOBAL_HEADER_LEN
-    subsec_scale = 1000 if resolution is TsResolution.MICROSECOND else 1
-    unpack_record = _RECORD_HEADER[endian].unpack_from
+    def stream() -> CaptureStream:
+        return CaptureStream(order, resolution, linktype, snaplen, data, tuple(offsets))
+
+    offsets: list[int] = []
+    append = offsets.append
+    unpack_incl_len = _INCL_LEN[endian].unpack_from
     size = len(data)
+    offset = GLOBAL_HEADER_LEN
     while offset < size:
-        if offset + RECORD_HEADER_LEN > size:
-            raise TruncatedFrame(len(frames), _finish(order, resolution, linktype, snaplen, frames))
-        ts_sec, ts_sub, incl_len, orig_len = unpack_record(data, offset)
         body_start = offset + RECORD_HEADER_LEN
-        if body_start + incl_len > size:
-            raise TruncatedFrame(len(frames), _finish(order, resolution, linktype, snaplen, frames))
-        body = data[body_start : body_start + incl_len]
-        frames.append(
-            RawFrame(
-                ts_ns=ts_sec * 1_000_000_000 + ts_sub * subsec_scale,
-                linktype_id=linktype,
-                captured_len=incl_len,
-                # Some writers put 0 or a stale value in orig_len; keep the
-                # invariant captured <= original.
-                original_len=max(orig_len, incl_len),
-                frame_bytes=body,
-            )
-        )
-        offset = body_start + incl_len
-    return _finish(order, resolution, linktype, snaplen, frames)
-
-
-def _finish(order, resolution, linktype, snaplen, frames) -> CaptureStream:
-    return CaptureStream(
-        byte_order=order,
-        ts_resolution=resolution,
-        linktype_id=linktype,
-        snaplen=snaplen,
-        frames=tuple(frames),
-    )
+        if body_start > size:
+            raise TruncatedFrame(len(offsets), stream())
+        body_end = body_start + unpack_incl_len(data, offset + 8)[0]
+        if body_end > size:
+            raise TruncatedFrame(len(offsets), stream())
+        append(offset)
+        offset = body_end
+    return stream()
 
 
 @functools.lru_cache(maxsize=ADDRESS_CACHE_SIZE)
@@ -236,53 +285,73 @@ def address_text(packed: bytes) -> str:
     return str(ipaddress.ip_address(packed))
 
 
-def decode_frame(frame: RawFrame, linktype_id: int | None = None) -> PacketRecord | Skip:
+# Link header of each supported link type: name, ethertype offset, length.
+_LINK_HEADERS = {
+    LINKTYPE_ETHERNET: ("ethernet", 12, 14),
+    LINKTYPE_SLL: ("sll", 14, 16),
+    LINKTYPE_SLL2: ("sll2", 0, 20),
+}
+
+# Skips carry only their reason, so one of each serves every frame.
+_NON_IP = Skip(SkipReason.NON_IP)
+_OTHER_IP_PROTOCOL = Skip(SkipReason.OTHER_IP_PROTOCOL)
+_FRAGMENT = Skip(SkipReason.FRAGMENT)
+
+
+def _link_header(linktype_id: int) -> tuple[str, int, int]:
+    link = _LINK_HEADERS.get(linktype_id)
+    if link is None:
+        raise UnsupportedLinkType(linktype_id)
+    return link
+
+
+def decode_frame(frame: RawFrame, linktype_id: int) -> PacketRecord | Skip:
     """Decode one frame to a PacketRecord, or Skip for non-TCP/UDP traffic.
 
     Raises UnsupportedLinkType for link layers outside {Ethernet, SLL, SLL2}
     and MalformedHeader when an IP/transport header is shorter than its
     minimum length (including snaplen cuts through headers).
     """
-    if linktype_id is None:
-        linktype_id = frame.linktype_id
-    data = frame.frame_bytes
+    return _decode(
+        frame.frame_bytes,
+        0,
+        frame.captured_len,
+        _link_header(linktype_id),
+        frame.ts_ns,
+        frame.original_len,
+    )
 
-    if linktype_id == LINKTYPE_ETHERNET:
-        if len(data) < 14:
-            raise MalformedHeader("ethernet header short")
-        ethertype = _U16.unpack_from(data, 12)[0]
-        offset = 14
-    elif linktype_id == LINKTYPE_SLL:
-        if len(data) < 16:
-            raise MalformedHeader("sll header short")
-        ethertype = _U16.unpack_from(data, 14)[0]
-        offset = 16
-    elif linktype_id == LINKTYPE_SLL2:
-        if len(data) < 20:
-            raise MalformedHeader("sll2 header short")
-        ethertype = _U16.unpack_from(data, 0)[0]
-        offset = 20
-    else:
-        raise UnsupportedLinkType(linktype_id)
+
+def _decode(
+    data: bytes, start: int, end: int, link: tuple[str, int, int], ts_ns: int, packet_len: int
+) -> PacketRecord | Skip:
+    """Decode the frame held in ``data[start:end]``; nothing past ``end`` is read."""
+    name, type_at, offset = link
+    offset += start
+    if offset > end:
+        raise MalformedHeader(f"{name} header short")
+    ethertype = _U16.unpack_from(data, start + type_at)[0]
 
     if ethertype == ETHERTYPE_VLAN:
         # One 802.1Q tag: 2 bytes TCI then the real ethertype.
-        if len(data) < offset + 4:
+        if offset + 4 > end:
             raise MalformedHeader("vlan tag short")
         ethertype = _U16.unpack_from(data, offset + 2)[0]
         offset += 4
         if ethertype == ETHERTYPE_VLAN:
-            return Skip(SkipReason.NON_IP)
+            return _NON_IP
 
     if ethertype == ETHERTYPE_IPV4:
-        return _decode_ipv4(frame, data, offset)
+        return _decode_ipv4(data, offset, end, ts_ns, packet_len)
     if ethertype == ETHERTYPE_IPV6:
-        return _decode_ipv6(frame, data, offset)
-    return Skip(SkipReason.NON_IP)
+        return _decode_ipv6(data, offset, end, ts_ns, packet_len)
+    return _NON_IP
 
 
-def _decode_ipv4(frame: RawFrame, data: bytes, start: int) -> PacketRecord | Skip:
-    if len(data) < start + 20:
+def _decode_ipv4(
+    data: bytes, start: int, end: int, ts_ns: int, packet_len: int
+) -> PacketRecord | Skip:
+    if start + 20 > end:
         raise MalformedHeader("ipv4 header short")
     vihl = data[start]
     if vihl >> 4 != 4:
@@ -290,20 +359,22 @@ def _decode_ipv4(frame: RawFrame, data: bytes, start: int) -> PacketRecord | Ski
     ihl = (vihl & 0x0F) * 4
     if ihl < 20:
         raise MalformedHeader("ipv4 IHL below minimum")
-    if len(data) < start + ihl:
+    if start + ihl > end:
         raise MalformedHeader("ipv4 options truncated")
-    total_len = _U16.unpack_from(data, start + 2)[0]
+    total_len, fragment = _IPV4_LEN_FRAG.unpack_from(data, start + 2)
     if total_len < ihl:
         raise MalformedHeader("ipv4 total length below header length")
-    if _U16.unpack_from(data, start + 6)[0] & 0x1FFF:
-        return Skip(SkipReason.FRAGMENT)
+    if fragment & 0x1FFF:
+        return _FRAGMENT
     proto = data[start + 9]
     src = address_text(data[start + 12 : start + 16])
     dst = address_text(data[start + 16 : start + 20])
     # Honor total_length so link-layer padding never leaks into the payload;
     # clamp to what was actually captured.
-    l4_end = min(len(data), start + total_len)
-    return _decode_transport(frame, proto, src, dst, 4, data, start + ihl, l4_end, total_len - ihl)
+    l4_end = min(end, start + total_len)
+    return _decode_transport(
+        proto, src, dst, 4, data, start + ihl, l4_end, total_len - ihl, ts_ns, packet_len
+    )
 
 
 # IPv6 extension headers we can walk through (8-byte-multiple TLV shape).
@@ -312,8 +383,10 @@ _V6_FRAGMENT = 44
 _V6_AH = 51
 
 
-def _decode_ipv6(frame: RawFrame, data: bytes, start: int) -> PacketRecord | Skip:
-    if len(data) < start + 40:
+def _decode_ipv6(
+    data: bytes, start: int, end: int, ts_ns: int, packet_len: int
+) -> PacketRecord | Skip:
+    if start + 40 > end:
         raise MalformedHeader("ipv6 header short")
     if data[start] >> 4 != 6:
         raise MalformedHeader("ipv6 version mismatch")
@@ -321,46 +394,46 @@ def _decode_ipv6(frame: RawFrame, data: bytes, start: int) -> PacketRecord | Ski
     next_header = data[start + 6]
     src = address_text(data[start + 8 : start + 24])
     dst = address_text(data[start + 24 : start + 40])
-    end = min(len(data), start + 40 + payload_len)
-    offset = start + 40
     declared_end = start + 40 + payload_len
+    l4_end = min(end, declared_end)
+    offset = start + 40
 
     for _ in range(8):
         if next_header in (IPPROTO_TCP, IPPROTO_UDP):
             return _decode_transport(
-                frame, next_header, src, dst, 6, data, offset, end, declared_end - offset
+                next_header, src, dst, 6, data, offset, l4_end, declared_end - offset,
+                ts_ns, packet_len,
             )
         if next_header == _V6_FRAGMENT:
-            if offset + 8 > len(data):
+            if offset + 8 > end:
                 raise MalformedHeader("ipv6 fragment header truncated")
             frag_field = _U16.unpack_from(data, offset + 2)[0]
             if frag_field >> 3:
-                return Skip(SkipReason.FRAGMENT)
+                return _FRAGMENT
             next_header = data[offset]
             offset += 8
         elif next_header in _V6_WALKABLE:
-            if offset + 2 > len(data):
+            if offset + 2 > end:
                 raise MalformedHeader("ipv6 extension header truncated")
             ext_len = (data[offset + 1] + 1) * 8
-            if offset + ext_len > len(data):
+            if offset + ext_len > end:
                 raise MalformedHeader("ipv6 extension header truncated")
             next_header = data[offset]
             offset += ext_len
         elif next_header == _V6_AH:
-            if offset + 2 > len(data):
+            if offset + 2 > end:
                 raise MalformedHeader("ipv6 AH truncated")
             ext_len = (data[offset + 1] + 2) * 4
-            if offset + ext_len > len(data):
+            if offset + ext_len > end:
                 raise MalformedHeader("ipv6 AH truncated")
             next_header = data[offset]
             offset += ext_len
         else:
-            return Skip(SkipReason.OTHER_IP_PROTOCOL)
-    return Skip(SkipReason.OTHER_IP_PROTOCOL)
+            return _OTHER_IP_PROTOCOL
+    return _OTHER_IP_PROTOCOL
 
 
 def _decode_transport(
-    frame: RawFrame,
     proto: int,
     src: str,
     dst: str,
@@ -369,6 +442,8 @@ def _decode_transport(
     l4_start: int,
     l4_end: int,
     l4_declared: int,
+    ts_ns: int,
+    packet_len: int,
 ) -> PacketRecord | Skip:
     """Decode the TCP or UDP header in ``data[l4_start:l4_end]`` (as captured)."""
     l4_len = l4_end - l4_start
@@ -382,17 +457,8 @@ def _decode_transport(
         payload = data[l4_start + header_len : l4_end]
         declared_payload = max(l4_declared - header_len, 0)
         return PacketRecord(
-            ts_ns=frame.ts_ns,
-            ip_version=ip_version,
-            src_ip=src,
-            dst_ip=dst,
-            src_port=src_port,
-            dst_port=dst_port,
-            transport=Transport.TCP,
-            packet_len=frame.original_len,
-            payload=payload,
-            tcp_flags=data[l4_start + 13],
-            payload_truncated=len(payload) < declared_payload,
+            ts_ns, ip_version, src, dst, src_port, dst_port, Transport.TCP, packet_len,
+            payload, data[l4_start + 13], len(payload) < declared_payload,
         )
     if proto == IPPROTO_UDP:
         if l4_len < 8:
@@ -403,18 +469,10 @@ def _decode_transport(
         declared_payload = udp_len - 8
         payload = data[l4_start + 8 : min(l4_end, l4_start + udp_len)]
         return PacketRecord(
-            ts_ns=frame.ts_ns,
-            ip_version=ip_version,
-            src_ip=src,
-            dst_ip=dst,
-            src_port=src_port,
-            dst_port=dst_port,
-            transport=Transport.UDP,
-            packet_len=frame.original_len,
-            payload=payload,
-            payload_truncated=len(payload) < declared_payload,
+            ts_ns, ip_version, src, dst, src_port, dst_port, Transport.UDP, packet_len,
+            payload, None, len(payload) < declared_payload,
         )
-    return Skip(SkipReason.OTHER_IP_PROTOCOL)
+    return _OTHER_IP_PROTOCOL
 
 
 @dataclass
@@ -431,19 +489,37 @@ class DecodeSummary:
 
 
 def decode_stream(stream: CaptureStream, summary: DecodeSummary | None = None) -> list[PacketRecord]:
-    """Decode every frame of a stream, tallying skips and malformed frames."""
+    """Decode every frame of a stream in place, tallying skips and malformed frames."""
     if summary is None:
         summary = DecodeSummary()
     records: list[PacketRecord] = []
-    for raw in stream.frames:
+    if not stream.offsets:
+        return records  # the link type is checked only when there is a frame to decode
+    link = _link_header(stream.linktype_id)
+    data = stream.data
+    skipped = summary.skipped
+    append = records.append
+    unpack_record = _RECORD_HEADER[_ENDIAN[stream.byte_order]].unpack_from
+    scale = _SUBSEC_SCALE[stream.ts_resolution]
+    for offset in stream.offsets:
+        # Read as ``CaptureStream.frames`` reads it, original_len included.
+        ts_sec, ts_sub, incl_len, orig_len = unpack_record(data, offset)
+        start = offset + RECORD_HEADER_LEN
         try:
-            outcome = decode_frame(raw, stream.linktype_id)
+            outcome = _decode(
+                data,
+                start,
+                start + incl_len,
+                link,
+                ts_sec * 1_000_000_000 + ts_sub * scale,
+                max(orig_len, incl_len),
+            )
         except MalformedHeader:
             summary.malformed += 1
             continue
         if isinstance(outcome, Skip):
-            summary.skipped[outcome.reason] = summary.skipped.get(outcome.reason, 0) + 1
+            skipped[outcome.reason] = skipped.get(outcome.reason, 0) + 1
         else:
-            records.append(outcome)
-            summary.records += 1
+            append(outcome)
+    summary.records += len(records)
     return records

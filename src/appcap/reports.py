@@ -26,9 +26,8 @@ from .analytics import (
     ProtocolDistribution,
     TemporalHistogram,
 )
-from .classify import ClassifiedPacket, ProtoTag, detect_quic, dns_query_name
+from .classify import ClassifiedPacket, ProtoTag, detect_quic, dns_message, dns_query_name
 from .dataset import BackgroundKind, DatasetManifest
-from .ingest import Transport
 from .keylog import CoverageReport
 from .tlswire import Desync, NotTls, parse_tls_records
 
@@ -251,9 +250,9 @@ def describe_packet(cp: ClassifiedPacket) -> str:
                 names.append(_RECORD_NAMES[view.content_type])
         return ",".join(names) if names else "Continuation"
     if tag is ProtoTag.DO53:
+        msg = dns_message(record.payload, record.transport)
+        kind = "Response" if msg is not None and msg[2] & 0x80 else "Query"
         name = dns_query_name(record.payload, record.transport)
-        msg = record.payload[2:] if record.transport is Transport.TCP else record.payload
-        kind = "Response" if len(msg) >= 4 and msg[2] & 0x80 else "Query"
         return f"{kind} {name}" if name else kind
     if tag is ProtoTag.HTTP:
         line = record.payload.split(b"\r\n", 1)[0][:80]

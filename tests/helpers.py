@@ -116,10 +116,9 @@ def tcp(payload: bytes, sport=40000, dport=443, flags=0x18, seq=1, ack=1) -> byt
     return struct.pack(">HHIIBBHHH", sport, dport, seq, ack, 0x50, flags, 65535, 0, 0) + payload
 
 
-def raw_frame(frame_bytes: bytes, ts_ns=0, linktype=1, orig_len=None) -> RawFrame:
+def raw_frame(frame_bytes: bytes, ts_ns=0, orig_len=None) -> RawFrame:
     return RawFrame(
         ts_ns=ts_ns,
-        linktype_id=linktype,
         captured_len=len(frame_bytes),
         original_len=orig_len if orig_len is not None else len(frame_bytes),
         frame_bytes=frame_bytes,

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from helpers import mk_record
 
 from appcap.classify import (
@@ -9,6 +10,7 @@ from appcap.classify import (
     QUIC_RETRY,
     QUIC_V2,
     AppProtocol,
+    ClassifiedPacket,
     FlowKey,
     FlowTable,
     ProtoTag,
@@ -373,6 +375,26 @@ class TestFlowMechanics:
         cp = flows.classify(mk_record(payload=build_client_hello(CH_RANDOM)))
         assert cp.protocol.tag is ProtoTag.TLS
         assert flows.states[cp.flow].client_random == CH_RANDOM
+
+    def test_app_data_without_payload_refused(self):
+        record = mk_record(payload=b"", tcp_flags=0x10)
+        with pytest.raises(ValueError):
+            ClassifiedPacket(record, AppProtocol(ProtoTag.OTHER_TCP), True, FlowKey.from_record(record))
+
+    def test_replace_keeps_the_app_data_check(self):
+        record = mk_record(payload=b"", tcp_flags=0x10)
+        cp = ClassifiedPacket(record, AppProtocol(ProtoTag.OTHER_TCP), False, FlowKey.from_record(record))
+        with pytest.raises(ValueError):
+            cp._replace(is_app_data=True)
+
+    def test_classified_packet_is_read_only_and_hashable(self):
+        first, second = (classify_capture([mk_record(payload=b"x")])[0] for _ in range(2))
+        assert first == second and first is not second
+        assert hash(first) == hash(second)
+        with pytest.raises(AttributeError):
+            first.is_app_data = True
+        with pytest.raises(AttributeError):
+            first.protocol = second.protocol
 
     def test_empty_payload_on_fresh_flow_is_other(self):
         out = classify_capture([mk_record(payload=b"", tcp_flags=0x02)])

@@ -1,11 +1,12 @@
 import random
+import struct
 from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
 from helpers import mk_record
 
-from appcap.classify import classify_capture
+from appcap.classify import ProtoTag, classify_capture
 from appcap.dataset import (
     BackgroundKind,
     BadDate,
@@ -157,6 +158,17 @@ class TestTruncate:
         kept = truncate_packets(packets, 5)
         assert [cp.record.ts_ns for cp in kept] == [0, int(100e9)]
 
+    def test_matches_sort_then_filter(self):
+        rng = random.Random(21)
+        for _ in range(50):
+            seconds = [rng.choice([0.0, 30.0, 59.999, 60.0, 61.0, 90.0]) + rng.randrange(3)
+                       for _ in range(rng.randrange(1, 12))]
+            packets = classify_capture([_at(s) for s in seconds])
+            ordered = sorted(packets, key=lambda cp: cp.record.ts_ns)
+            cutoff = ordered[0].record.ts_ns + 60 * 10**9
+            want = [cp for cp in ordered if cp.record.ts_ns < cutoff]
+            assert truncate_packets(packets, 1) == want
+
     def test_output_is_prefix_of_sorted(self):
         packets = classify_capture([_at(s) for s in (5.0, 1.0, 9.0, 3.0)])
         kept = truncate_packets(packets, 5)
@@ -189,6 +201,32 @@ class TestBackground:
             mk_record(ts_ns=1, transport=Transport.UDP, src_ip="8.8.8.8", src_port=53,
                       dst_ip="10.0.2.16", dst_port=40000,
                       payload=build_dns_response(42, "www.google.com")),
+        ]
+        tags = attribute_background(classify_capture(records))
+        assert tags == [BackgroundKind.CONNECTIVITY_DO53] * 2
+
+    def test_empty_do53_packet_stays_untagged(self):
+        records = [
+            mk_record(ts_ns=0, transport=Transport.UDP, dst_ip="8.8.8.8", dst_port=53,
+                      payload=build_dns_query(42, "www.google.com")),
+            mk_record(ts_ns=1, transport=Transport.UDP, dst_ip="8.8.8.8", dst_port=53,
+                      payload=b""),
+        ]
+        classified = classify_capture(records)
+        assert classified[1].protocol.tag is ProtoTag.DO53
+        assert attribute_background(classified) == [
+            BackgroundKind.CONNECTIVITY_DO53,
+            BackgroundKind.NONE,
+        ]
+
+    def test_connectivity_dns_over_tcp(self):
+        query = build_dns_query(9, "www.google.com")
+        response = build_dns_response(9, "www.google.com")
+        records = [
+            mk_record(ts_ns=0, dst_ip="8.8.8.8", dst_port=53,
+                      payload=struct.pack(">H", len(query)) + query),
+            mk_record(ts_ns=1, src_ip="8.8.8.8", src_port=53, dst_ip="10.0.2.16",
+                      dst_port=40000, payload=struct.pack(">H", len(response)) + response),
         ]
         tags = attribute_background(classify_capture(records))
         assert tags == [BackgroundKind.CONNECTIVITY_DO53] * 2

@@ -20,6 +20,10 @@ from refdissect import ipv4_fields, sll_fields, udp_fields
 
 from appcap.ingest import (
     ADDRESS_CACHE_SIZE,
+    RawFrame,
+    LINKTYPE_ETHERNET,
+    LINKTYPE_SLL,
+    LINKTYPE_SLL2,
     ByteOrder,
     DecodeSummary,
     MalformedHeader,
@@ -109,11 +113,69 @@ class TestReadCapture:
             read_capture(header + bad)
         assert excinfo.value.frames_read == 0
 
+    def test_later_writes_to_the_input_do_not_reach_the_stream(self):
+        buffer = bytearray(pcap_file([eth(ip4(udp(b"abc")))]))
+        stream = read_capture(buffer)
+        buffer[-3:] = b"xyz"
+        assert stream.frames[0].frame_bytes.endswith(b"abc")
+        assert decode_stream(stream)[0].payload == b"abc"
+
     def test_original_len_clamped_to_captured(self):
         frame = eth(ip4(udp(b"x")))
         data = pcap_header() + pcap_record(frame, orig_len=0)
         stream = read_capture(data)
         assert stream.frames[0].original_len == len(frame)
+
+
+class TestPerPacketInvariants:
+    def test_tcp_flags_on_udp_refused(self):
+        with pytest.raises(ValueError):
+            PacketRecord(0, 4, "a", "b", 1, 2, Transport.UDP, 60, b"x", tcp_flags=0x18)
+
+    def test_missing_tcp_flags_on_tcp_refused(self):
+        with pytest.raises(ValueError):
+            PacketRecord(0, 4, "a", "b", 1, 2, Transport.TCP, 60, b"x")
+
+    def test_payload_longer_than_packet_refused(self):
+        with pytest.raises(ValueError):
+            PacketRecord(0, 4, "a", "b", 1, 2, Transport.UDP, 3, b"four")
+
+    def test_replace_keeps_the_checks(self):
+        record = PacketRecord(0, 4, "a", "b", 1, 2, Transport.UDP, 60, b"x")
+        assert record._replace(ts_ns=5).ts_ns == 5
+        with pytest.raises(ValueError):
+            record._replace(tcp_flags=0x02)
+
+    def test_record_fields_are_read_only(self):
+        record = PacketRecord(0, 4, "a", "b", 1, 2, Transport.TCP, 60, b"x", tcp_flags=0x18)
+        with pytest.raises(AttributeError):
+            record.payload = b"y"
+        with pytest.raises(AttributeError):
+            record.ts_ns = 1
+
+    def test_equal_records_hash_equal(self):
+        first = PacketRecord(7, 6, "::1", "::2", 1, 2, Transport.UDP, 60, bytes([1, 2]))
+        second = PacketRecord(7, 6, "::1", "::2", 1, 2, Transport.UDP, 60, b"\x01\x02")
+        assert first == second and first is not second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+
+    def test_raw_frame_length_mismatch_refused(self):
+        with pytest.raises(ValueError):
+            RawFrame(ts_ns=0, captured_len=3, original_len=3, frame_bytes=b"ab")
+
+    def test_raw_frame_captured_above_original_refused(self):
+        with pytest.raises(ValueError):
+            RawFrame(ts_ns=0, captured_len=2, original_len=1, frame_bytes=b"ab")
+
+    def test_raw_frame_negative_timestamp_refused(self):
+        with pytest.raises(ValueError):
+            RawFrame(ts_ns=-1, captured_len=2, original_len=2, frame_bytes=b"ab")
+
+    def test_raw_frame_fields_are_read_only(self):
+        frame = raw_frame(b"ab")
+        with pytest.raises(AttributeError):
+            frame.ts_ns = 1
 
 
 class TestDecodeFrame:
@@ -131,7 +193,7 @@ class TestDecodeFrame:
         assert (ref_udp["src_port"], ref_udp["dst_port"]) == (40000, 53)
         assert ref_udp["payload"] == payload
 
-        record = decode_frame(raw_frame(frame_bytes, linktype=113))
+        record = decode_frame(raw_frame(frame_bytes), LINKTYPE_SLL)
         assert isinstance(record, PacketRecord)
         assert record.transport is Transport.UDP
         assert (record.src_ip, record.dst_ip) == (ref_ip["src"], ref_ip["dst"])
@@ -141,20 +203,20 @@ class TestDecodeFrame:
 
     def test_sll2_ipv4_tcp(self):
         frame_bytes = sll2(ip4(tcp(b"hello", sport=1234, dport=80), proto=6))
-        record = decode_frame(raw_frame(frame_bytes, linktype=276))
+        record = decode_frame(raw_frame(frame_bytes), LINKTYPE_SLL2)
         assert record.transport is Transport.TCP
         assert (record.src_port, record.dst_port) == (1234, 80)
         assert record.payload == b"hello"
 
     def test_ethernet_arp_skipped(self):
         arp = b"\x00\x01\x08\x00\x06\x04\x00\x01" + b"\x00" * 20
-        outcome = decode_frame(raw_frame(eth(arp, ethertype=0x0806)))
+        outcome = decode_frame(raw_frame(eth(arp, ethertype=0x0806)), LINKTYPE_ETHERNET)
         assert outcome == Skip(SkipReason.NON_IP)
 
     def test_ipv6_tcp_syn(self):
         segment = tcp(b"", sport=50000, dport=443, flags=0x02)
         frame_bytes = eth(ip6(segment, next_header=6), ethertype=0x86DD)
-        record = decode_frame(raw_frame(frame_bytes))
+        record = decode_frame(raw_frame(frame_bytes), LINKTYPE_ETHERNET)
         assert record.transport is Transport.TCP
         assert record.ip_version == 6
         assert record.tcp_flags == 0x02
@@ -165,90 +227,90 @@ class TestDecodeFrame:
         segment = udp(b"zz", dport=443)
         hbh = bytes([17, 0]) + b"\x00" * 6  # next=UDP, one 8-byte unit
         frame_bytes = eth(ip6(hbh + segment, next_header=0), ethertype=0x86DD)
-        record = decode_frame(raw_frame(frame_bytes))
+        record = decode_frame(raw_frame(frame_bytes), LINKTYPE_ETHERNET)
         assert record.transport is Transport.UDP
         assert record.payload == b"zz"
 
     def test_ipv6_fragment_offset_skipped(self):
         frag = bytes([6, 0]) + (8).to_bytes(2, "big") + b"\x00" * 4  # offset 1
         frame_bytes = eth(ip6(frag + b"\x00" * 20, next_header=44), ethertype=0x86DD)
-        assert decode_frame(raw_frame(frame_bytes)) == Skip(SkipReason.FRAGMENT)
+        assert decode_frame(raw_frame(frame_bytes), LINKTYPE_ETHERNET) == Skip(SkipReason.FRAGMENT)
 
     def test_ipv6_first_fragment_decodes(self):
         segment = udp(b"q")
         frag = bytes([17, 0]) + (0).to_bytes(2, "big") + b"\x00" * 4
         frame_bytes = eth(ip6(frag + segment, next_header=44), ethertype=0x86DD)
-        record = decode_frame(raw_frame(frame_bytes))
+        record = decode_frame(raw_frame(frame_bytes), LINKTYPE_ETHERNET)
         assert record.transport is Transport.UDP
 
     def test_ipv6_unknown_next_header_skipped(self):
         frame_bytes = eth(ip6(b"\x00" * 8, next_header=132), ethertype=0x86DD)
-        assert decode_frame(raw_frame(frame_bytes)) == Skip(SkipReason.OTHER_IP_PROTOCOL)
+        assert decode_frame(raw_frame(frame_bytes), LINKTYPE_ETHERNET) == Skip(SkipReason.OTHER_IP_PROTOCOL)
 
     def test_vlan_unwrapped_once(self):
         frame_bytes = eth_vlan(ip4(udp(b"v"), proto=17))
-        record = decode_frame(raw_frame(frame_bytes))
+        record = decode_frame(raw_frame(frame_bytes), LINKTYPE_ETHERNET)
         assert record.transport is Transport.UDP
         assert record.payload == b"v"
 
     def test_double_vlan_skipped(self):
         inner = b"\x00\x64" + b"\x08\x00" + ip4(udp(b"v"))
         frame_bytes = eth_vlan(inner, inner_ethertype=0x8100)
-        assert decode_frame(raw_frame(frame_bytes)) == Skip(SkipReason.NON_IP)
+        assert decode_frame(raw_frame(frame_bytes), LINKTYPE_ETHERNET) == Skip(SkipReason.NON_IP)
 
     def test_ipv4_fragment_skipped(self):
         frame_bytes = eth(ip4(udp(b"x"), frag=0x2001))  # MF + offset 1
-        assert decode_frame(raw_frame(frame_bytes)) == Skip(SkipReason.FRAGMENT)
+        assert decode_frame(raw_frame(frame_bytes), LINKTYPE_ETHERNET) == Skip(SkipReason.FRAGMENT)
 
     def test_ipv4_first_fragment_decodes(self):
         frame_bytes = eth(ip4(udp(b"x"), frag=0x2000))  # MF, offset 0
-        record = decode_frame(raw_frame(frame_bytes))
+        record = decode_frame(raw_frame(frame_bytes), LINKTYPE_ETHERNET)
         assert record.transport is Transport.UDP
 
     def test_icmp_skipped(self):
         frame_bytes = eth(ip4(b"\x08\x00\x00\x00", proto=1))
-        assert decode_frame(raw_frame(frame_bytes)) == Skip(SkipReason.OTHER_IP_PROTOCOL)
+        assert decode_frame(raw_frame(frame_bytes), LINKTYPE_ETHERNET) == Skip(SkipReason.OTHER_IP_PROTOCOL)
 
     def test_unsupported_linktype(self):
         with pytest.raises(UnsupportedLinkType):
-            decode_frame(raw_frame(b"\x00" * 32, linktype=101))
+            decode_frame(raw_frame(b"\x00" * 32), 101)
 
     def test_short_ipv4_header_malformed(self):
         with pytest.raises(MalformedHeader):
-            decode_frame(raw_frame(eth(b"\x45\x00\x00")))
+            decode_frame(raw_frame(eth(b"\x45\x00\x00")), LINKTYPE_ETHERNET)
 
     def test_short_tcp_header_malformed(self):
         with pytest.raises(MalformedHeader):
-            decode_frame(raw_frame(eth(ip4(b"\x01\x02\x03\x04", proto=6))))
+            decode_frame(raw_frame(eth(ip4(b"\x01\x02\x03\x04", proto=6))), LINKTYPE_ETHERNET)
 
     def test_short_udp_header_malformed(self):
         with pytest.raises(MalformedHeader):
-            decode_frame(raw_frame(eth(ip4(b"\x01\x02", proto=17))))
+            decode_frame(raw_frame(eth(ip4(b"\x01\x02", proto=17))), LINKTYPE_ETHERNET)
 
     def test_ipv4_options_honored(self):
         options = b"\x01" * 8  # two NOP words
         frame_bytes = eth(ip4(udp(b"opt"), proto=17, ihl_words=7, options=options))
-        record = decode_frame(raw_frame(frame_bytes))
+        record = decode_frame(raw_frame(frame_bytes), LINKTYPE_ETHERNET)
         assert record.payload == b"opt"
 
     def test_ethernet_padding_stripped(self):
         inner = ip4(udp(b"pp"), proto=17)
         frame_bytes = eth(inner + b"\x00" * 12)  # pad to minimum frame size
-        record = decode_frame(raw_frame(frame_bytes))
+        record = decode_frame(raw_frame(frame_bytes), LINKTYPE_ETHERNET)
         assert record.payload == b"pp"
         assert not record.payload_truncated
 
     def test_snaplen_truncation_flags_payload(self):
         full = eth(ip4(tcp(b"A" * 200), proto=6))
         cut = full[: len(full) - 150]
-        record = decode_frame(raw_frame(cut, orig_len=len(full)))
+        record = decode_frame(raw_frame(cut, orig_len=len(full)), LINKTYPE_ETHERNET)
         assert record.payload == b"A" * 50
         assert record.payload_truncated
         assert record.packet_len == len(full)
 
     def test_decode_is_pure(self):
-        frame = raw_frame(sll(ip4(udp(b"same"), proto=17)), linktype=113)
-        assert decode_frame(frame) == decode_frame(frame)
+        frame = raw_frame(sll(ip4(udp(b"same"), proto=17)))
+        assert decode_frame(frame, LINKTYPE_SLL) == decode_frame(frame, LINKTYPE_SLL)
 
 
 IPV6_EDGE_ADDRESSES = [
@@ -271,7 +333,7 @@ class TestAddressText:
     @pytest.mark.parametrize("text", IPV6_EDGE_ADDRESSES)
     def test_decoded_ipv6_record_text(self, text):
         frame_bytes = eth(ip6(tcp(b"v6"), src=text, dst="::"), ethertype=0x86DD)
-        record = decode_frame(raw_frame(frame_bytes))
+        record = decode_frame(raw_frame(frame_bytes), LINKTYPE_ETHERNET)
         assert record.src_ip == str(ipaddress.IPv6Address(text))
         assert record.dst_ip == "::"
 

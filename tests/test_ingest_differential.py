@@ -1,0 +1,196 @@
+"""Differential test of the two ways into the frame decoder.
+
+``decode_stream`` decodes each frame in place inside the capture's bytes,
+bounded by the frame's end; ``decode_frame`` decodes a RawFrame copied out of
+them. Generated captures cover both byte orders and timestamp resolutions,
+Ethernet/SLL/SLL2, VLAN tags, IPv4 options and fragments, IPv6 extension and
+fragment headers, snaplen cuts through every header, ``orig_len`` of 0 and
+truncated tails. Every frame is followed by more bytes of the file, so a
+bound check that looked past the frame's end would decode the next record's
+header instead of reporting a malformed frame.
+"""
+
+from __future__ import annotations
+
+import struct
+
+from helpers import (
+    PCAP_MAGIC_NS_LE,
+    PCAP_MAGIC_US_LE,
+    eth,
+    ip4,
+    ip6,
+    pcap_header,
+    pcap_record,
+    sll,
+    sll2,
+    tcp,
+    udp,
+)
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from appcap.ingest import (
+    LINKTYPE_ETHERNET,
+    LINKTYPE_SLL,
+    LINKTYPE_SLL2,
+    DecodeSummary,
+    MalformedHeader,
+    Skip,
+    TruncatedFrame,
+    decode_frame,
+    decode_stream,
+    read_capture,
+)
+
+ADDRESSES_V4 = ["10.0.2.16", "8.8.8.8", "203.0.113.10"]
+ADDRESSES_V6 = ["2001:db8::1", "::1", "fe80::1:0:0:0"]
+
+
+@st.composite
+def transport_segments(draw) -> tuple[int, bytes]:
+    """(IP protocol number, segment) with honest or lying header fields."""
+    payload = draw(st.binary(max_size=40))
+    kind = draw(st.sampled_from(["udp", "tcp", "icmp"]))
+    if kind == "udp":
+        length = draw(st.sampled_from([None, 0, 7, 8 + len(payload) + 20]))
+        return 17, udp(payload, sport=draw(st.integers(0, 65535)), length=length)
+    if kind == "tcp":
+        segment = bytearray(tcp(payload, dport=draw(st.sampled_from([80, 443, 853])),
+                                flags=draw(st.integers(0, 255))))
+        if draw(st.booleans()):
+            segment[12] = draw(st.integers(0, 15)) << 4  # data offset, often wrong
+        return 6, bytes(segment)
+    return 1, b"\x08\x00\x00\x00" + payload
+
+
+@st.composite
+def ipv4_packets(draw) -> bytes:
+    proto, segment = draw(transport_segments())
+    ihl_words = draw(st.integers(5, 8))
+    options = b"\x01" * ((ihl_words - 5) * 4)
+    header_len = ihl_words * 4
+    total_len = draw(st.sampled_from([None, header_len - 4, header_len + len(segment) + 30]))
+    frag = draw(st.sampled_from([0, 0x2000, 0x2001, 0x4000, 0x0010]))
+    packet = ip4(segment, src=draw(st.sampled_from(ADDRESSES_V4)), proto=proto, frag=frag,
+                 ihl_words=ihl_words, total_len=total_len, options=options)
+    if draw(st.integers(0, 3)) == 0:
+        packet = bytes([draw(st.sampled_from([0x65, 0x43]))]) + packet[1:]  # bad version, IHL
+    return packet
+
+
+@st.composite
+def ipv6_packets(draw) -> bytes:
+    proto, segment = draw(transport_segments())
+    chain = draw(st.lists(st.sampled_from([0, 43, 60, 44, 51]), max_size=3))
+    body, next_header = segment, proto
+    for ext in reversed(chain):
+        if ext == 44:
+            offset = draw(st.sampled_from([0, 1]))
+            body = bytes([next_header, 0]) + (offset << 3).to_bytes(2, "big") + b"\x00" * 4 + body
+        elif ext == 51:
+            body = bytes([next_header, 1]) + b"\x00" * 10 + body  # (1 + 2) * 4 bytes
+        else:
+            units = draw(st.integers(0, 1))
+            body = bytes([next_header, units]) + b"\x00" * (6 + 8 * units) + body
+        next_header = ext
+    if draw(st.integers(0, 9)) == 0:
+        next_header = 132  # a protocol the decoder does not walk
+    payload_len = draw(st.sampled_from([None, max(len(body) - 8, 0), len(body) + 16]))
+    packet = ip6(body, src=draw(st.sampled_from(ADDRESSES_V6)), next_header=next_header,
+                 payload_len=payload_len)
+    if draw(st.integers(0, 9)) == 0:
+        packet = b"\x40" + packet[1:]  # version 4 in an IPv6 frame
+    return packet
+
+
+@st.composite
+def network_layers(draw) -> tuple[int, bytes]:
+    """(ethertype, bytes after the link header), VLAN tags included."""
+    kind = draw(st.sampled_from(["v4", "v4", "v6", "arp"]))
+    if kind == "v4":
+        ethertype, body = 0x0800, draw(ipv4_packets())
+    elif kind == "v6":
+        ethertype, body = 0x86DD, draw(ipv6_packets())
+    else:
+        ethertype, body = 0x0806, draw(st.binary(max_size=28))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        body = struct.pack(">HH", draw(st.integers(0, 0xFFFF)), ethertype) + body
+        ethertype = 0x8100
+    return ethertype, body
+
+
+def framed(linktype: int, ethertype: int, body: bytes) -> bytes:
+    if linktype == LINKTYPE_ETHERNET:
+        return eth(body, ethertype=ethertype)
+    if linktype == LINKTYPE_SLL:
+        return sll(body, proto=ethertype)
+    return sll2(body, proto=ethertype)
+
+
+@st.composite
+def captures(draw):
+    """(file bytes, linktype, expected frames as (ts_ns, original_len, bytes), truncated)."""
+    little = draw(st.booleans())
+    nanos = draw(st.booleans())
+    linktype = draw(st.sampled_from([LINKTYPE_ETHERNET, LINKTYPE_SLL, LINKTYPE_SLL2]))
+    magic = PCAP_MAGIC_NS_LE if nanos else PCAP_MAGIC_US_LE
+    blob = pcap_header(magic=magic, little=little, linktype=linktype)
+    expected = []
+    for _ in range(draw(st.integers(0, 6))):
+        full = framed(linktype, *draw(network_layers()))
+        # Cuts land in the headers (the first 90 bytes) more often than not.
+        cut = draw(st.sampled_from([None, None, 90, len(full)]))
+        frame = full if cut is None else full[: draw(st.integers(0, min(cut, len(full))))]
+        orig_len = draw(st.sampled_from([len(full), 0, len(frame)]))
+        ts_sec = draw(st.integers(0, 2**32 - 1))
+        ts_sub = draw(st.integers(0, 999_999_999 if nanos else 999_999))
+        blob += pcap_record(frame, ts_sec=ts_sec, ts_sub=ts_sub, little=little, orig_len=orig_len)
+        ts_ns = ts_sec * 1_000_000_000 + ts_sub * (1 if nanos else 1000)
+        expected.append((ts_ns, max(orig_len, len(frame)), frame))
+    truncated = draw(st.booleans())
+    if truncated:
+        tail = pcap_record(b"\x00" * draw(st.integers(1, 60)), little=little)
+        blob += tail[: draw(st.integers(1, len(tail) - 1))]
+    return blob, linktype, expected, truncated
+
+
+def decode_each(frames, linktype: int):
+    """What ``decode_stream`` returns, built from ``decode_frame`` one frame at a time."""
+    summary = DecodeSummary()
+    records = []
+    for frame in frames:
+        try:
+            outcome = decode_frame(frame, linktype)
+        except MalformedHeader:
+            summary.malformed += 1
+            continue
+        if isinstance(outcome, Skip):
+            summary.skipped[outcome.reason] = summary.skipped.get(outcome.reason, 0) + 1
+        else:
+            records.append(outcome)
+            summary.records += 1
+    return records, summary
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(captures())
+def test_stream_decode_equals_frame_by_frame(capture):
+    blob, linktype, expected, truncated = capture
+    try:
+        stream = read_capture(blob)
+    except TruncatedFrame as exc:
+        assert truncated
+        assert exc.frames_read == len(exc.stream.frames)
+        stream = exc.stream
+    else:
+        assert not truncated
+    assert stream.linktype_id == linktype
+    assert [(f.ts_ns, f.original_len, f.frame_bytes) for f in stream.frames] == expected
+
+    summary = DecodeSummary()
+    records = decode_stream(stream, summary)
+    want_records, want_summary = decode_each(stream.frames, linktype)
+    assert records == want_records
+    assert summary == want_summary
+    assert summary.total == len(expected)

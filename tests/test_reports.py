@@ -16,8 +16,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import mk_record
+
+from appcap.classify import classify_capture
 from appcap.cli import main
-from appcap.reports import FEATURE_COLUMNS, write_envelope, write_feature_csv
+from appcap.ingest import Transport
+from appcap.reports import FEATURE_COLUMNS, describe_packet, write_envelope, write_feature_csv
+from appcap.synth import build_dns_query, build_dns_response
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -187,3 +192,28 @@ def test_analyze_csv_equals_dict_writer_on_fixture(fixture_dirs, tmp_path):
     assert rows
     with out_csv.open(newline="") as fh:
         assert_same_text(fh.read(), dict_writer_text(rows))
+
+
+def test_dns_info_reads_the_classifier_message():
+    def tcp_dns(message: bytes) -> bytes:
+        return len(message).to_bytes(2, "big") + message
+
+    udp = {"transport": Transport.UDP, "dst_ip": "8.8.8.8", "dst_port": 53}
+    udp_back = {"transport": Transport.UDP, "src_ip": "8.8.8.8", "src_port": 53,
+                "dst_ip": "10.0.2.16", "dst_port": 40000}
+    tcp = {"dst_ip": "8.8.4.4", "dst_port": 53}
+    tcp_back = {"src_ip": "8.8.4.4", "src_port": 53, "dst_ip": "10.0.2.16", "dst_port": 40000}
+    records = [
+        mk_record(ts_ns=0, payload=build_dns_query(1, "a.example"), **udp),
+        mk_record(ts_ns=1, payload=build_dns_response(1, "a.example"), **udp_back),
+        mk_record(ts_ns=2, payload=b"", **udp),
+        mk_record(ts_ns=3, payload=tcp_dns(build_dns_query(2, "b.example")), **tcp),
+        mk_record(ts_ns=4, payload=tcp_dns(build_dns_response(2, "b.example")), **tcp_back),
+    ]
+    assert [describe_packet(cp) for cp in classify_capture(records)] == [
+        "Query a.example",
+        "Response a.example",
+        "Query",
+        "Query b.example",
+        "Response b.example",
+    ]
