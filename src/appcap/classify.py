@@ -17,6 +17,7 @@ from typing import NamedTuple
 from .ingest import PacketRecord, Transport
 from .tlswire import (
     CONTENT_APPLICATION_DATA,
+    CONTENT_HANDSHAKE,
     HANDSHAKE_CLIENT_HELLO,
     HANDSHAKE_SERVER_HELLO,
     Desync,
@@ -59,21 +60,52 @@ class ProtoTag(enum.Enum):
     OTHER_TCP = "OtherTCP"
     OTHER_UDP = "OtherUDP"
 
+    __hash__ = object.__hash__  # identity, in C; see tlswire.TlsVersion
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class AppProtocol:
+    """A packet's application protocol, interned: equal values are one object.
+
+    So ``==`` and ``hash`` are the C identity versions, and a tally keyed by
+    protocols runs no Python code to hash or compare one. Every valid
+    (tag, version) pair is made once, at import.
+    """
+
     tag: ProtoTag
     tls_version: TlsVersion | None = None
     # Display label; TLS expands by version, DoT collapses to one bucket.
     # Derived once here because reports read it for every packet.
-    category: str = field(init=False, repr=False, compare=False)
+    category: str = field(default="", repr=False)
 
-    def __post_init__(self):
-        versioned = self.tag in (ProtoTag.TLS, ProtoTag.DOT)
-        if versioned != (self.tls_version is not None):
-            raise ValueError("tls_version present iff tag is TLS or DoT")
-        label = self.tls_version.label if self.tag is ProtoTag.TLS else self.tag.value
-        object.__setattr__(self, "category", label)
+    def __new__(cls, tag: ProtoTag, tls_version: TlsVersion | None = None):
+        try:
+            return _PROTOCOLS[tag, tls_version]
+        except KeyError:
+            raise ValueError("tls_version present iff tag is TLS or DoT") from None
+
+    def __reduce__(self):
+        return AppProtocol, (self.tag, self.tls_version)
+
+
+def _make_protocol(tag: ProtoTag, tls_version: TlsVersion | None) -> AppProtocol:
+    protocol = object.__new__(AppProtocol)
+    label = tls_version.label if tag is ProtoTag.TLS else tag.value
+    for name, value in (("tag", tag), ("tls_version", tls_version), ("category", label)):
+        object.__setattr__(protocol, name, value)
+    return protocol
+
+
+_PROTOCOLS = {
+    (tag, version): _make_protocol(tag, version)
+    for tag in ProtoTag
+    for version in (TlsVersion if tag in (ProtoTag.TLS, ProtoTag.DOT) else [None])
+}
+_DO53 = AppProtocol(ProtoTag.DO53)
+_HTTP = AppProtocol(ProtoTag.HTTP)
+_QUIC = AppProtocol(ProtoTag.QUIC)
+_OTHER_TCP = AppProtocol(ProtoTag.OTHER_TCP)
+_OTHER_UDP = AppProtocol(ProtoTag.OTHER_UDP)
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,6 +127,8 @@ class FlowState:
     negotiated_tls: TlsVersion | None = None
     client_hello_version_hint: TlsVersion | None = None
     quic_seen: bool = False
+    # Set once any packet of the flow is tagged TLS or DoT.
+    tls_seen: bool = False
     client_random: bytes | None = None
     last_protocol: AppProtocol | None = None
     buffers: dict[tuple[str, int], bytes] = field(default_factory=dict)
@@ -110,10 +144,16 @@ class _ClassifiedPacketFields(NamedTuple):
     protocol: AppProtocol
     is_app_data: bool
     flow: FlowKey
+    detail: str | bytes | QuicInfo | None = None
 
 
 class ClassifiedPacket(_ClassifiedPacketFields):
     """A packet with its application protocol and flow.
+
+    ``detail`` keeps what the classifier parsed: for TLS/DoT, ``tls_info``
+    of the payload's own records (None when carried-over bytes came first,
+    or without payload); for Do53, the validated DNS message; for QUIC, the
+    header's ``QuicInfo``; otherwise None.
 
     Immutable and hashable; being a tuple, it equals a plain tuple of the
     same fields.
@@ -121,10 +161,10 @@ class ClassifiedPacket(_ClassifiedPacketFields):
 
     __slots__ = ()
 
-    def __new__(cls, record: PacketRecord, protocol: AppProtocol, is_app_data: bool, flow: FlowKey):
+    def __new__(cls, record, protocol, is_app_data, flow, detail=None):
         if is_app_data and not record.payload:
             raise ValueError("app-data packets must carry payload")
-        return tuple.__new__(cls, (record, protocol, is_app_data, flow))
+        return tuple.__new__(cls, (record, protocol, is_app_data, flow, detail))
 
     @classmethod
     def _make(cls, iterable):
@@ -193,11 +233,9 @@ def dns_message(payload: bytes, transport: Transport) -> bytes | None:
     return None
 
 
-def dns_query_name(payload: bytes, transport: Transport) -> str | None:
-    """Extract the first question name (lowercase, dotted), if parseable."""
-    msg = dns_message(payload, transport)
-    if msg is None:
-        return None
+def dns_query_name(msg: bytes) -> str | None:
+    """The first question name (lowercase, dotted) of a message that
+    ``dns_message`` accepted, if parseable."""
     labels = []
     pos = 12
     hops = 0
@@ -233,21 +271,14 @@ class FlowTable:
         # and hashed once per flow direction rather than once per packet.
         self._directions: dict[tuple, tuple[FlowKey, FlowState, tuple[str, int]]] = {}
 
-    def state_for(self, key: FlowKey) -> FlowState:
-        state = self.states.get(key)
-        if state is None:
-            state = FlowState()
-            self.states[key] = state
-        return state
-
     def classify(self, record: PacketRecord) -> ClassifiedPacket:
         is_tcp = record.transport is Transport.TCP
         direction = (record.src_ip, record.src_port, record.dst_ip, record.dst_port, is_tcp)
         entry = self._directions.get(direction)
         if entry is None:
             key = FlowKey.from_record(record)
-            entry = (key, self.state_for(key), (record.src_ip, record.src_port))
-            self._directions[direction] = entry
+            state = self.states.setdefault(key, FlowState())
+            entry = self._directions[direction] = (key, state, (record.src_ip, record.src_port))
         key, state, sender = entry
         payload = record.payload
         ports = (record.src_port, record.dst_port)
@@ -258,32 +289,37 @@ class FlowTable:
                 protocol = state.last_protocol
             elif is_dot_port:
                 protocol = AppProtocol(ProtoTag.DOT, state.tls_version)
+                state.tls_seen = True
             else:
-                protocol = _other(record.transport)
+                protocol = _OTHER_TCP if is_tcp else _OTHER_UDP
             return ClassifiedPacket(record, protocol, False, key)
 
         tls_ok = False
         has_app_record = False
+        tls_detail = None
         if is_tcp:
-            tls_ok, records, partial_app_data = _ingest_tls(
+            tls_ok, records, partial_app_data, tls_detail = _ingest_tls(
                 state, sender, payload, record.payload_truncated
             )
-            _absorb_hellos(state, records)
-            has_app_record = partial_app_data or any(
-                r.content_type == CONTENT_APPLICATION_DATA for r in records
-            )
+            has_app_record = _absorb_records(state, records) or partial_app_data
 
         protocol: AppProtocol
         is_app_data: bool
+        detail = None
         if is_dot_port:
-            protocol = _protocol(state, ProtoTag.DOT, state.tls_version)
+            protocol = AppProtocol(ProtoTag.DOT, state.tls_version)
             is_app_data = has_app_record
-        elif DNS_PORT in ports and dns_message(payload, record.transport) is not None:
-            protocol = _protocol(state, ProtoTag.DO53)
+            detail = tls_detail
+            state.tls_seen = True
+        elif DNS_PORT in ports and (msg := dns_message(payload, record.transport)) is not None:
+            protocol = _DO53
             is_app_data = True
+            detail = msg
         elif is_tcp and tls_ok:
-            protocol = _protocol(state, ProtoTag.TLS, state.tls_version)
+            protocol = AppProtocol(ProtoTag.TLS, state.tls_version)
             is_app_data = has_app_record
+            detail = tls_detail
+            state.tls_seen = True
         elif (
             is_tcp
             and state.last_protocol is not None
@@ -293,8 +329,9 @@ class FlowTable:
             # treat the unparseable bytes as unknown (non-app) data.
             protocol = state.last_protocol
             is_app_data = False
+            detail = tls_detail
         elif is_tcp and HTTP_PORT in ports and payload.startswith(_HTTP_PREFIXES):
-            protocol = _protocol(state, ProtoTag.HTTP)
+            protocol = _HTTP
             is_app_data = True
         else:
             quic = None
@@ -303,52 +340,62 @@ class FlowTable:
             if quic is not None:
                 if quic.long_header:
                     state.quic_seen = True
-                protocol = _protocol(state, ProtoTag.QUIC)
+                protocol = _QUIC
                 is_app_data = (not quic.long_header) or quic.long_packet_type == QUIC_0RTT
+                detail = quic
             else:
-                protocol = _protocol(
-                    state, ProtoTag.OTHER_TCP if is_tcp else ProtoTag.OTHER_UDP
-                )
+                protocol = _OTHER_TCP if is_tcp else _OTHER_UDP
                 is_app_data = False
 
         state.last_protocol = protocol
-        return ClassifiedPacket(record, protocol, is_app_data, key)
+        return ClassifiedPacket(record, protocol, is_app_data, key, detail)
 
 
-def _protocol(state: FlowState, tag: ProtoTag, tls_version: TlsVersion | None = None) -> AppProtocol:
-    """The flow's last protocol when it is unchanged, else a new one."""
-    last = state.last_protocol
-    if last is not None and last.tag is tag and last.tls_version is tls_version:
-        return last
-    return AppProtocol(tag, tls_version)
+_RECORD_NAMES = {20: "ChangeCipherSpec", 21: "Alert", 22: "Handshake", 23: "ApplicationData"}
+_HELLO_NAMES = {HANDSHAKE_CLIENT_HELLO: "ClientHello", HANDSHAKE_SERVER_HELLO: "ServerHello"}
 
 
-def _other(transport: Transport) -> AppProtocol:
-    return AppProtocol(ProtoTag.OTHER_TCP if transport is Transport.TCP else ProtoTag.OTHER_UDP)
+def tls_info(records: list[TlsRecordView]) -> str:
+    """The feature table's info for one payload's records: their names, or
+    ``Continuation`` when it holds no complete record."""
+    names = []
+    for view in records:
+        if view.is_sslv2:
+            names.append("SSLv2Handshake")
+        elif view.content_type == CONTENT_HANDSHAKE and view.handshake_type in _HELLO_NAMES:
+            names.append(_HELLO_NAMES[view.handshake_type])
+        else:
+            names.append(_RECORD_NAMES[view.content_type])
+    return ",".join(names) or "Continuation"
 
 
 def _ingest_tls(
     state: FlowState, sender: tuple[str, int], payload: bytes, truncated: bool
-) -> tuple[bool, list[TlsRecordView], bool]:
+) -> tuple[bool, list[TlsRecordView], bool, str | None]:
     """Feed one direction's payload through the record parser.
 
-    Returns (parsed-as-TLS, complete records, partial-app-data-seen). The
-    per-direction carryover buffer is bounded; truncation and desync reset it
-    so the next packet re-syncs at its own segment boundary.
+    Returns (parsed-as-TLS, complete records, partial-app-data-seen, info):
+    ``info`` is ``tls_info`` of the records, ``Continuation`` when the bytes
+    are not TLS or break framing, and None when carried-over bytes came in
+    front of the payload. The per-direction carryover buffer is bounded;
+    truncation and desync reset it so the next packet re-syncs at its own
+    segment boundary.
     """
     buf = b"" if state.desync.get(sender) else state.buffers.get(sender, b"")
     data = buf + payload
     try:
         records, remainder = parse_tls_records(data)
+        info = None if buf else tls_info(records)
         broke = False
     except NotTls:
         state.buffers[sender] = b""
         if buf:
             state.desync[sender] = True
-        return False, [], False
+        return False, [], False, None if buf else "Continuation"
     except Desync as exc:
         records = exc.records
         remainder = b""
+        info = None if buf else "Continuation"
         broke = True
 
     partial_app_data = bool(remainder) and remainder[0] == CONTENT_APPLICATION_DATA
@@ -359,18 +406,23 @@ def _ingest_tls(
     else:
         state.buffers[sender] = remainder
         state.desync[sender] = False
-    return True, records, partial_app_data
+    return True, records, partial_app_data, info
 
 
-def _absorb_hellos(state: FlowState, records: list[TlsRecordView]) -> None:
+def _absorb_records(state: FlowState, records: list[TlsRecordView]) -> bool:
+    """Take the hellos' version signals; True if a record is application data."""
+    app_data = False
     for view in records:
-        if view.handshake_type == HANDSHAKE_CLIENT_HELLO:
+        if view.content_type == CONTENT_APPLICATION_DATA:
+            app_data = True
+        elif view.handshake_type == HANDSHAKE_CLIENT_HELLO:
             if state.client_random is None and view.random is not None:
                 state.client_random = view.random
             state.client_hello_version_hint = resolve_tls_version(view, None)
         elif view.handshake_type == HANDSHAKE_SERVER_HELLO:
             if state.negotiated_tls is None:
                 state.negotiated_tls = resolve_tls_version(None, view)
+    return app_data
 
 
 def classify_capture(packets) -> list[ClassifiedPacket]:

@@ -36,7 +36,7 @@ from .dataset import (
     scan_directory,
     truncate_packets,
 )
-from .ingest import CaptureError, PacketRecord, decode_stream, read_capture
+from .ingest import CaptureError, decode_stream, read_capture
 from .keylog import key_coverage, read_keylog
 from .reports import (
     background_json,
@@ -202,14 +202,9 @@ def _emit(args, envelope: dict) -> None:
         write_envelope(envelope, _resolve_out(args.json_path), sys.stdout)
 
 
-def _load_records(path: Path) -> list[PacketRecord]:
-    stream = read_capture(path.read_bytes())
-    return decode_stream(stream)
-
-
 def _classify_file(path: Path) -> tuple[list[ClassifiedPacket], FlowTable]:
     flows = FlowTable()
-    classified = [flows.classify(r) for r in _load_records(path)]
+    classified = [flows.classify(r) for r in decode_stream(read_capture(path.read_bytes()))]
     return classified, flows
 
 
@@ -242,7 +237,7 @@ def cmd_analyze(args) -> int:
     }
     if args.keylog is not None:
         index = read_keylog(args.keylog)
-        coverage = key_coverage(classified, index, flows.states)
+        coverage = key_coverage(index, flows.states)
         body["coverage"] = coverage_json(coverage, index.malformed_lines)
     inputs = [args.capture] + ([args.keylog] if args.keylog else [])
     envelope = make_envelope("analyze", inputs, body)
@@ -327,9 +322,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_keycov(args) -> int:
-    classified, flows = _classify_file(args.capture)
+    _, flows = _classify_file(args.capture)
     index = read_keylog(args.keylog)
-    coverage = key_coverage(classified, index, flows.states)
+    coverage = key_coverage(index, flows.states)
     body = {"coverage": coverage_json(coverage, index.malformed_lines)}
     envelope = make_envelope("keycov", [args.capture, args.keylog], body)
     _emit(args, envelope)

@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .classify import ClassifiedPacket, ProtoTag, dns_message, dns_query_name
+from .classify import ClassifiedPacket, ProtoTag, dns_query_name
 from .ingest import Transport
 
 DATE_FORMAT = "%Y%m%dT%H%M%SZ"
@@ -219,12 +219,10 @@ def attribute_background(
                 host = http_request_host(cp.record.payload)
                 if host is not None:
                     http_flow_host[cp.flow] = host
-        elif cp.protocol.tag is ProtoTag.DO53:
-            name = dns_query_name(cp.record.payload, cp.record.transport)
-            if name in CONNECTIVITY_DNS_NAMES:
-                # A parsed name means a DNS message; its first two bytes are the ID.
-                msg = dns_message(cp.record.payload, cp.record.transport)
-                connectivity_txns.add((cp.flow, msg[:2]))
+        elif cp.protocol.tag is ProtoTag.DO53 and cp.detail is not None:
+            # The classifier's message; its first two bytes are the ID.
+            if dns_query_name(cp.detail) in CONNECTIVITY_DNS_NAMES:
+                connectivity_txns.add((cp.flow, cp.detail[:2]))
 
     tags: list[BackgroundKind] = []
     for cp in classified:
@@ -237,8 +235,7 @@ def attribute_background(
             if http_flow_host.get(cp.flow) == CONNECTIVITY_HTTP_HOST:
                 tag = BackgroundKind.CONNECTIVITY_HTTP
         elif cp.protocol.tag is ProtoTag.DO53:
-            msg = dns_message(cp.record.payload, cp.record.transport)
-            if msg is not None and (cp.flow, msg[:2]) in connectivity_txns:
+            if cp.detail is not None and (cp.flow, cp.detail[:2]) in connectivity_txns:
                 tag = BackgroundKind.CONNECTIVITY_DO53
         elif cp.protocol.tag is ProtoTag.DOT and baseline_mode:
             if {cp.record.src_ip, cp.record.dst_ip} & SYSTEM_DNS_IPS:

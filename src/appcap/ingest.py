@@ -100,6 +100,8 @@ class Transport(enum.Enum):
     TCP = "TCP"
     UDP = "UDP"
 
+    __hash__ = object.__hash__  # identity, in C; see tlswire.TlsVersion
+
 
 class SkipReason(enum.Enum):
     NON_IP = "non_ip"

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .classify import ClassifiedPacket, FlowKey, FlowState, ProtoTag
+from .classify import FlowKey, FlowState
 from .dataset import KEYLOG_PREFIX, KEYLOG_SUFFIX, CaptureLabel
 
 
@@ -90,31 +90,28 @@ class CoverageReport:
     coverage_fraction: float
 
 
-def key_coverage(
-    classified: Sequence[ClassifiedPacket],
-    index: KeyIndex,
-    flow_states: Mapping[FlowKey, FlowState],
-) -> CoverageReport:
+def key_coverage(index: KeyIndex, flow_states: Mapping[FlowKey, FlowState]) -> CoverageReport:
     """How many TLS/DoT flows with an observed ClientHello have logged keys.
 
-    ``flow_states`` is the table that classified the packets. Mid-stream
-    flows (no ClientHello seen) cannot be matched by random and are excluded
-    from the denominator; they still count as TLS flows.
+    ``flow_states`` is the table that classified the capture; a flow counts
+    as TLS when any of its packets was tagged TLS or DoT. Mid-stream flows
+    (no ClientHello seen) cannot be matched by random and are excluded from
+    the denominator; they still count as TLS flows.
     """
-    tls_flow_keys = {
-        cp.flow for cp in classified if cp.protocol.tag in (ProtoTag.TLS, ProtoTag.DOT)
-    }
+    tls_flows = 0
     with_hello = 0
     with_keys = 0
-    for key in tls_flow_keys:
-        state = flow_states.get(key)
-        if state is None or state.client_random is None:
+    for state in flow_states.values():
+        if not state.tls_seen:
+            continue
+        tls_flows += 1
+        if state.client_random is None:
             continue
         with_hello += 1
         if state.client_random in index:
             with_keys += 1
     return CoverageReport(
-        tls_flows=len(tls_flow_keys),
+        tls_flows=tls_flows,
         flows_with_client_hello=with_hello,
         flows_with_keys=with_keys,
         coverage_fraction=with_keys / max(with_hello, 1),

@@ -12,7 +12,6 @@ import csv
 import functools
 import hashlib
 import json
-import operator
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -26,19 +25,13 @@ from .analytics import (
     ProtocolDistribution,
     TemporalHistogram,
 )
-from .classify import ClassifiedPacket, ProtoTag, detect_quic, dns_message, dns_query_name
+from .classify import ClassifiedPacket, ProtoTag, dns_query_name, tls_info
 from .dataset import BackgroundKind, DatasetManifest
+from .ingest import Transport
 from .keylog import CoverageReport
 from .tlswire import Desync, NotTls, parse_tls_records
 
 REPORT_SCHEMA_VERSION = 1
-
-_RECORD_NAMES = {20: "ChangeCipherSpec", 21: "Alert", 22: "Handshake", 23: "ApplicationData"}
-_HANDSHAKE_NAMES = {1: "ClientHello", 2: "ServerHello"}
-
-
-def file_digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def make_envelope(command: str, inputs: Sequence[Path], body: dict) -> dict:
@@ -46,7 +39,7 @@ def make_envelope(command: str, inputs: Sequence[Path], body: dict) -> dict:
         "report_schema": REPORT_SCHEMA_VERSION,
         "tool_version": __version__,
         "command": command,
-        "inputs": [{"path": str(p), "sha256": file_digest(p)} for p in inputs],
+        "inputs": [{"path": str(p), "sha256": hashlib.sha256(p.read_bytes()).hexdigest()} for p in inputs],
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "body": body,
     }
@@ -72,11 +65,13 @@ def _dumps(value, depth: int) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for a value nested ``depth`` deep.
 
     A container whose items are all scalars goes to the C encoder in one
-    call; Python walks only the containers above such ones. Anything else
-    (non-str keys, subclasses of the JSON types, other objects) takes the
-    stdlib's own path.
+    call; Python walks only the containers above such ones. ``FeatureRows``
+    renders as its list of row objects. Anything else (non-str keys,
+    subclasses of the JSON types, other objects) takes the stdlib's own path.
     """
     kind = type(value)
+    if kind is FeatureRows:
+        return _feature_table(value, depth)
     if kind in _SCALAR_TYPES:
         return _flat_encoder(0)(value)
     if kind is dict and _STR_TYPE.issuperset(map(type, value)):
@@ -98,6 +93,29 @@ def _dumps(value, depth: int) -> str:
     else:
         text = (",\n" + pad).join(_dumps(v, depth + 1) for v in value)
     return f"{brackets[0]}\n{pad}{text}\n{_INDENT * depth}{brackets[1]}"
+
+
+def _feature_table(rows: FeatureRows, depth: int) -> str:
+    """The rows as a JSON list of objects: one ``%`` template, keys sorted,
+    filled once per row. Strings go through the encoder's own escaping and
+    ints through ``int.__repr__``, as in ``json.dumps``; ``app_data`` is the
+    one bool."""
+    if not rows:
+        return "[]"
+    pad = _INDENT * (depth + 1)
+    slots = ",".join(f"\n{pad}{_INDENT}{encode_basestring_ascii(c)}: %s" for c in _ROW_SLOTS)
+    template = f"{{{slots}\n{pad}}}"
+    esc = encode_basestring_ascii
+    json_bool = ("false", "true")
+    text = (",\n" + pad).join([
+        template % (
+            json_bool[app_data], esc(dst_ip), dst_port, esc(info), packet_len,
+            esc(protocol), esc(src_ip), src_port, esc(transport), ts_ns,
+        )
+        for ts_ns, src_ip, src_port, dst_ip, dst_port, transport, protocol, info, app_data, packet_len
+        in rows
+    ])
+    return f"[\n{pad}{text}\n{_INDENT * depth}]"
 
 
 def write_envelope(envelope: dict, path: Path | None, stream) -> None:
@@ -232,36 +250,30 @@ def background_json(tags: Sequence[BackgroundKind]) -> dict:
 
 
 def describe_packet(cp: ClassifiedPacket) -> str:
-    """Short info string for the per-packet feature table."""
-    record = cp.record
+    """The feature table's ``info``, formatted from ``cp.detail`` (see the
+    README). TLS needs a parse here only when carried-over stream bytes came
+    in front of the payload; then the payload alone is parsed."""
     tag = cp.protocol.tag
-    if tag in (ProtoTag.TLS, ProtoTag.DOT) and record.payload:
+    detail = cp.detail
+    if tag is ProtoTag.TLS or tag is ProtoTag.DOT:
+        if detail is not None or not cp.record.payload:
+            return detail or ""
         try:
-            views, _ = parse_tls_records(record.payload)
+            views, _ = parse_tls_records(cp.record.payload)
         except (NotTls, Desync):
             return "Continuation"
-        names = []
-        for view in views:
-            if view.is_sslv2:
-                names.append("SSLv2Handshake")
-            elif view.content_type == 22 and view.handshake_type in _HANDSHAKE_NAMES:
-                names.append(_HANDSHAKE_NAMES[view.handshake_type])
-            elif view.content_type in _RECORD_NAMES:
-                names.append(_RECORD_NAMES[view.content_type])
-        return ",".join(names) if names else "Continuation"
+        return tls_info(views)
     if tag is ProtoTag.DO53:
-        msg = dns_message(record.payload, record.transport)
-        kind = "Response" if msg is not None and msg[2] & 0x80 else "Query"
-        name = dns_query_name(record.payload, record.transport)
+        if detail is None:
+            return "Query"
+        name = dns_query_name(detail)
+        kind = "Response" if detail[2] & 0x80 else "Query"
         return f"{kind} {name}" if name else kind
     if tag is ProtoTag.HTTP:
-        line = record.payload.split(b"\r\n", 1)[0][:80]
+        line = cp.record.payload.split(b"\r\n", 1)[0][:80]
         return line.decode("ascii", errors="replace")
-    if tag is ProtoTag.QUIC:
-        info = detect_quic(record.payload, quic_seen=True)
-        if info is None:
-            return ""
-        return "LongHeader" if info.long_header else "ShortHeader"
+    if tag is ProtoTag.QUIC and detail is not None:
+        return "LongHeader" if detail.long_header else "ShortHeader"
     return ""
 
 
@@ -277,36 +289,39 @@ FEATURE_COLUMNS = [
     "app_data",
     "packet_len",
 ]
-_feature_values = operator.itemgetter(*FEATURE_COLUMNS)
+# The columns in JSON key order; ``_feature_table`` fills them in this order.
+_ROW_SLOTS = sorted(FEATURE_COLUMNS)
+_TRANSPORT_NAMES = {t: t.value for t in Transport}
 
 
-def feature_rows(classified: Sequence[ClassifiedPacket]) -> list[dict]:
-    rows = []
-    for cp in classified:
-        r = cp.record
-        rows.append(
-            {
-                "ts_ns": r.ts_ns,
-                "src_ip": r.src_ip,
-                "src_port": r.src_port,
-                "dst_ip": r.dst_ip,
-                "dst_port": r.dst_port,
-                "transport": r.transport.value,
-                "protocol": cp.protocol.category,
-                "info": describe_packet(cp),
-                "app_data": cp.is_app_data,
-                "packet_len": r.packet_len,
-            }
+class FeatureRows(list):
+    """``feature_rows`` output: one tuple per packet, in FEATURE_COLUMNS order.
+
+    A report renders it as a list of objects keyed by the columns, the text
+    ``json.dumps`` gives for ``[dict(zip(FEATURE_COLUMNS, row)) ...]``.
+    """
+
+    __slots__ = ()
+
+
+def feature_rows(classified: Sequence[ClassifiedPacket]) -> FeatureRows:
+    """One row per packet, in FEATURE_COLUMNS order; ``info`` is ``describe_packet``."""
+    return FeatureRows([
+        (
+            r.ts_ns, r.src_ip, r.src_port, r.dst_ip, r.dst_port, _TRANSPORT_NAMES[r.transport],
+            cp.protocol.category, describe_packet(cp), cp.is_app_data, r.packet_len,
         )
-    return rows
+        for cp in classified
+        for r in (cp.record,)
+    ])
 
 
-def write_feature_csv(rows: Sequence[dict], path: Path) -> None:
-    """Write ``feature_rows`` output; each row holds every FEATURE_COLUMNS key."""
+def write_feature_csv(rows: Sequence[tuple], path: Path) -> None:
+    """Write ``feature_rows`` output: a header, then each row's values in column order."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(FEATURE_COLUMNS)
-        writer.writerows(map(_feature_values, rows))
+        writer.writerows(rows)
 
 
 COMPARE_COLUMNS = ["app", "ppm_a", "ppm_b", "ratio"]

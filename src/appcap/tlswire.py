@@ -40,6 +40,10 @@ class TlsVersion(enum.Enum):
     TLS1_3 = "TLSv1.3"
     UNKNOWN = "SSL"
 
+    # Members are singletons, so the C identity hash serves; Enum's own
+    # __hash__ is Python code, and tallies hash a version per packet.
+    __hash__ = object.__hash__
+
     @property
     def label(self) -> str:
         return self.value
@@ -80,6 +84,16 @@ class TlsRecordView:
     supported_versions: tuple[int, ...] | None = None
 
 
+# Views of records without a handshake header, one per pair that passes the
+# framing checks (0x03 then 0x00..0x04): views are immutable, so one serves
+# every such record.
+_PLAIN_VIEWS = {
+    (content_type, 0x0300 | minor): TlsRecordView(content_type, 0x0300 | minor)
+    for content_type in _CONTENT_TYPES
+    for minor in range(5)
+}
+
+
 def _is_grease(value: int) -> bool:
     return (value & 0x0F0F) == 0x0A0A and (value >> 12) == ((value >> 4) & 0x0F)
 
@@ -105,13 +119,16 @@ def parse_tls_records(data: bytes) -> tuple[list[TlsRecordView], bytes]:
                 _bail(records, offset)
             if rem < 5:
                 break
-            length = struct.unpack(">H", data[offset + 3 : offset + 5])[0]
+            length = (data[offset + 3] << 8) | data[offset + 4]
             if 5 + length > MAX_RECORD_WIRE:
                 raise Desync(records)
             if rem < 5 + length:
                 break
-            body = data[offset + 5 : offset + 5 + length]
-            records.append(_view_for(b0, struct.unpack(">H", data[offset + 1 : offset + 3])[0], body))
+            version = (data[offset + 1] << 8) | data[offset + 2]
+            if b0 == CONTENT_HANDSHAKE and length >= 4:
+                records.append(_handshake_view(version, data[offset + 5 : offset + 5 + length]))
+            else:
+                records.append(_PLAIN_VIEWS[b0, version])
             offset += 5 + length
         elif b0 & 0x80:
             if rem >= 3 and data[offset + 2] not in _SSLV2_MSG_TYPES:
@@ -136,13 +153,12 @@ def _bail(records: list[TlsRecordView], offset: int):
     raise Desync(records)
 
 
-def _view_for(content_type: int, record_version: int, body: bytes) -> TlsRecordView:
-    if content_type != CONTENT_HANDSHAKE or len(body) < 4:
-        return TlsRecordView(content_type=content_type, record_version=record_version)
+def _handshake_view(record_version: int, body: bytes) -> TlsRecordView:
+    """A handshake record whose body holds at least a message header."""
     msg_type = body[0]
     if msg_type not in (HANDSHAKE_CLIENT_HELLO, HANDSHAKE_SERVER_HELLO):
         return TlsRecordView(
-            content_type=content_type, record_version=record_version, handshake_type=msg_type
+            content_type=CONTENT_HANDSHAKE, record_version=record_version, handshake_type=msg_type
         )
     msg_len = (body[1] << 16) | (body[2] << 8) | body[3]
     msg = body[4 : 4 + msg_len]
@@ -150,7 +166,7 @@ def _view_for(content_type: int, record_version: int, body: bytes) -> TlsRecordV
     random = msg[2:34] if len(msg) >= 34 else None
     supported = _supported_versions(msg, msg_type)
     return TlsRecordView(
-        content_type=content_type,
+        content_type=CONTENT_HANDSHAKE,
         record_version=record_version,
         handshake_type=msg_type,
         legacy_version=legacy,

@@ -288,7 +288,7 @@ def test_criterion_8_keylog_closed_loop(tmp_path):
 
     classified, states = classify_with_states(decode_stream(read(capture.read_bytes())))
     full_index = parse_keylog(keylog_path.read_text())
-    full = key_coverage(classified, full_index, states)
+    full = key_coverage(full_index, states)
     assert full.flows_with_client_hello == 5
     assert full.coverage_fraction == 1.0
 
@@ -296,7 +296,7 @@ def test_criterion_8_keylog_closed_loop(tmp_path):
     dropped_random = sorted(full_index.by_random)[0].hex()
     kept_lines = [line for line in keylog_path.read_text().splitlines()
                   if dropped_random not in line]
-    reduced = key_coverage(classified, parse_keylog("\n".join(kept_lines)), states)
+    reduced = key_coverage(parse_keylog("\n".join(kept_lines)), states)
     assert reduced.coverage_fraction == pytest.approx(
         full.coverage_fraction - 1 / full.flows_with_client_hello
     )

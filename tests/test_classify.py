@@ -223,7 +223,7 @@ class TestDnsAndDot:
 
     def test_dns_query_name_compression(self):
         msg = build_dns_response(9, "connectivitycheck.gstatic.com")
-        assert dns_query_name(msg, Transport.UDP) == "connectivitycheck.gstatic.com"
+        assert dns_query_name(msg) == "connectivitycheck.gstatic.com"
 
 
 class TestHttp:

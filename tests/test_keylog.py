@@ -1,10 +1,12 @@
 import random
+import struct
 from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
 from helpers import classify_with_states, mk_record
 
+from appcap.classify import ProtoTag
 from appcap.dataset import CaptureLabel, render_capture_filename, scan_dataset
 from appcap.keylog import (
     KeyIndex,
@@ -15,7 +17,13 @@ from appcap.keylog import (
     read_keylog,
     render_keylog,
 )
-from appcap.synth import build_app_data, build_client_hello, build_server_hello
+from appcap.synth import (
+    build_app_data,
+    build_client_hello,
+    build_dns_query,
+    build_server_hello,
+    tls_record,
+)
 
 LABEL_CHESS = CaptureLabel(
     app_name="com.chess",
@@ -27,6 +35,11 @@ LABEL_CHESS = CaptureLabel(
 def entry(seed: int, label="CLIENT_HANDSHAKE_TRAFFIC_SECRET") -> KeyLogEntry:
     rng = random.Random(seed)
     return KeyLogEntry(label=label, client_random=rng.randbytes(32), secret=rng.randbytes(48))
+
+
+def tls_flows_of(classified) -> set:
+    """The flows with a packet tagged TLS or DoT, counted from the packets."""
+    return {cp.flow for cp in classified if cp.protocol.tag in (ProtoTag.TLS, ProtoTag.DOT)}
 
 
 def tls_flow_records(src_port: int, client_random: bytes, n_app=1):
@@ -114,7 +127,7 @@ class TestCoverage:
         index = KeyIndex()
         index.add(KeyLogEntry("CLIENT_RANDOM", randoms[0], b"\x01"))
         index.add(KeyLogEntry("CLIENT_RANDOM", randoms[1], b"\x02"))
-        report = key_coverage(classified, index, states)
+        report = key_coverage(index, states)
         assert report.tls_flows == 3
         assert report.flows_with_client_hello == 3
         assert report.flows_with_keys == 2
@@ -122,7 +135,7 @@ class TestCoverage:
 
     def test_no_tls_flows_reports_zero(self):
         classified, states = classify_with_states([mk_record(dst_port=9999, payload=b"\x00\x01")])
-        report = key_coverage(classified, KeyIndex(), states)
+        report = key_coverage(KeyIndex(), states)
         assert report.tls_flows == 0
         assert report.coverage_fraction == 0.0
 
@@ -131,7 +144,7 @@ class TestCoverage:
         records.append(mk_record(ts_ns=50, src_port=40005,
                                  payload=build_app_data(random.Random(21))))
         classified, states = classify_with_states(records)
-        report = key_coverage(classified, KeyIndex(), states)
+        report = key_coverage(KeyIndex(), states)
         assert report.tls_flows == 2
         assert report.flows_with_client_hello == 1
 
@@ -141,8 +154,29 @@ class TestCoverage:
         records = tls_flow_records(40000, random.Random(22).randbytes(32))
         table = FlowTable()
         classified = [table.classify(r) for r in records]
-        report = key_coverage(classified, KeyIndex(), table.states)
+        report = key_coverage(KeyIndex(), table.states)
         assert report.flows_with_client_hello == 1
+
+    def test_tcp53_flow_counts_after_tls_gives_way_to_do53(self):
+        alert = tls_record(21, 0x0303, b"\x02\x28")  # too short to be a DNS message
+        query = build_dns_query(7, "example.com")
+        records = [
+            mk_record(ts_ns=0, dst_port=53, payload=alert),
+            mk_record(ts_ns=1, dst_port=53, payload=struct.pack(">H", len(query)) + query),
+        ]
+        classified, states = classify_with_states(records)
+        assert [cp.protocol.tag for cp in classified] == [ProtoTag.TLS, ProtoTag.DO53]
+        report = key_coverage(KeyIndex(), states)
+        assert report.tls_flows == len(tls_flows_of(classified)) == 1
+        assert report.flows_with_client_hello == 0
+
+    def test_dot_port_flow_of_empty_packets_counts(self):
+        records = [mk_record(ts_ns=k, dst_port=853, payload=b"", tcp_flags=0x10) for k in range(2)]
+        classified, states = classify_with_states(records)
+        assert [cp.protocol.tag for cp in classified] == [ProtoTag.DOT] * 2
+        report = key_coverage(KeyIndex(), states)
+        assert report.tls_flows == len(tls_flows_of(classified)) == 1
+        assert report.flows_with_client_hello == 0
 
     def test_adding_entries_never_decreases(self):
         randoms = [random.Random(i).randbytes(32) for i in range(30, 34)]
@@ -151,10 +185,10 @@ class TestCoverage:
             records += tls_flow_records(41000 + i, cr)
         classified, states = classify_with_states(records)
         index = KeyIndex()
-        last = key_coverage(classified, index, states).coverage_fraction
+        last = key_coverage(index, states).coverage_fraction
         for cr in randoms:
             index.add(KeyLogEntry("CLIENT_RANDOM", cr, b"\x01"))
-            now = key_coverage(classified, index, states).coverage_fraction
+            now = key_coverage(index, states).coverage_fraction
             assert now >= last
             last = now
         assert last == 1.0

@@ -182,20 +182,18 @@ def test_truncation_idempotent(seconds, minutes):
 )
 def test_coverage_monotone_in_index(flow_seeds, data):
     randoms = [seed.to_bytes(32, "big") for seed in sorted(flow_seeds)]
-    classified = []
     states = {}
     for i, rnd in enumerate(randoms):
         cp = mk_classified(proto(ProtoTag.TLS, TlsVersion.TLS1_3), src_port=42000 + i)
-        classified.append(cp)
-        states[cp.flow] = FlowState(client_random=rnd)
+        states[cp.flow] = FlowState(client_random=rnd, tls_seen=True)
     known = data.draw(st.sets(st.sampled_from(randoms)))
     index = KeyIndex()
     for rnd in known:
         index.add(KeyLogEntry("CLIENT_RANDOM", rnd, b"\x01"))
-    before = key_coverage(classified, index, states).coverage_fraction
+    before = key_coverage(index, states).coverage_fraction
     extra = data.draw(st.sampled_from(randoms))
     index.add(KeyLogEntry("SERVER_TRAFFIC_SECRET_0", extra, b"\x02"))
-    after = key_coverage(classified, index, states).coverage_fraction
+    after = key_coverage(index, states).coverage_fraction
     assert after >= before
     assert 0.0 <= before <= 1.0 and 0.0 <= after <= 1.0
 

@@ -21,7 +21,13 @@ from helpers import mk_record
 from appcap.classify import classify_capture
 from appcap.cli import main
 from appcap.ingest import Transport
-from appcap.reports import FEATURE_COLUMNS, describe_packet, write_envelope, write_feature_csv
+from appcap.reports import (
+    FEATURE_COLUMNS,
+    FeatureRows,
+    describe_packet,
+    write_envelope,
+    write_feature_csv,
+)
 from appcap.synth import build_dns_query, build_dns_response
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -120,6 +126,27 @@ def test_unencodable_value_raises_like_json_dumps():
         written_text({"a": [object()]})
 
 
+row_text = st.text() | st.sampled_from(EDGE_STRINGS)
+row_int = st.integers(min_value=0, max_value=2**16) | st.integers(min_value=-(2**200), max_value=2**200)
+feature_row = st.tuples(
+    row_int, row_text, row_int, row_text, row_int, row_text, row_text, row_text, st.booleans(), row_int
+)
+
+
+def nest(table, path):
+    """Put ``table`` inside the containers that ``path`` names, innermost last."""
+    for kind in reversed(path):
+        table = {"a": 1, "packets": table, "z": [None]} if kind == "dict" else [table, {}]
+    return table
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(feature_row, max_size=4), st.lists(st.sampled_from(["dict", "list"]), max_size=4))
+def test_feature_table_equals_json_dumps_of_row_dicts(rows, path):
+    as_dicts = [dict(zip(FEATURE_COLUMNS, row)) for row in rows]
+    assert_same_text(written_text(nest(FeatureRows(rows), path)), expected_text(nest(as_dicts, path)))
+
+
 def dict_writer_text(rows) -> str:
     buffer = io.StringIO(newline="")
     writer = csv.DictWriter(buffer, fieldnames=FEATURE_COLUMNS)
@@ -146,7 +173,7 @@ def test_feature_csv_equals_dict_writer(tmp_path):
         {**dict.fromkeys(FEATURE_COLUMNS, None), "app_data": False, "info": "é"},
     ]
     path = tmp_path / "rows.csv"
-    write_feature_csv(rows, path)
+    write_feature_csv([tuple(row[column] for column in FEATURE_COLUMNS) for row in rows], path)
     with path.open(newline="") as fh:
         assert_same_text(fh.read(), dict_writer_text(rows))
 

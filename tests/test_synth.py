@@ -157,7 +157,7 @@ class TestProfiles:
         result = capture_for(("Tls13", 2))
         index = parse_keylog(result.keylog_text)
         classified, states = classify_with_states(result.records)
-        report = key_coverage(classified, index, states)
+        report = key_coverage(index, states)
         assert report.flows_with_client_hello == 1
         assert report.coverage_fraction == 1.0
 
