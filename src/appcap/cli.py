@@ -10,6 +10,7 @@ when it is set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -32,11 +33,12 @@ from .dataset import (
     BackgroundKind,
     CaptureLabel,
     DatasetManifest,
+    ManifestEntry,
     attribute_background,
     scan_directory,
     truncate_packets,
 )
-from .ingest import CaptureError, decode_stream, read_capture
+from .ingest import CaptureError, PacketRecord, decode_stream, read_capture
 from .keylog import key_coverage, read_keylog
 from .reports import (
     background_json,
@@ -54,7 +56,6 @@ from .reports import (
     write_feature_csv,
     write_stats_csv,
 )
-from .synth import FixtureSpec, FixtureSpecError, parse_fixture_spec, synth_dataset
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -159,9 +160,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FixtureSpecError as exc:
-        print(f"appcap: invalid fixture spec: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except CaptureError as exc:
         print(f"appcap: cannot parse capture: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -202,30 +200,80 @@ def _emit(args, envelope: dict) -> None:
         write_envelope(envelope, _resolve_out(args.json_path), sys.stdout)
 
 
-def _classify_file(path: Path) -> tuple[list[ClassifiedPacket], FlowTable]:
+def _decode_file(path: Path) -> tuple[list[PacketRecord], str]:
+    """A capture's records and the SHA-256 of the bytes they were read from.
+
+    The bytes are freed on return, before the records are classified."""
+    import hashlib  # see reports._file_sha256
+
+    data = path.read_bytes()
+    return decode_stream(read_capture(data)), hashlib.sha256(data).hexdigest()
+
+
+def _classify_file(path: Path) -> tuple[list[ClassifiedPacket], FlowTable, str]:
+    records, digest = _decode_file(path)
     flows = FlowTable()
-    classified = [flows.classify(r) for r in decode_stream(read_capture(path.read_bytes()))]
-    return classified, flows
+    return [flows.classify(r) for r in records], flows, digest
 
 
-def _load_dataset(
-    directory: Path, truncate_min: float | None
-) -> tuple[DatasetManifest, list[tuple[CaptureLabel, Tally]]]:
-    """Each capture classified, truncated when asked, and reduced to its tally."""
+def _capture_tally(path: Path, truncate_min: float | None) -> tuple[Tally, str]:
+    """One capture classified, truncated when asked and reduced to its tally,
+    with its digest. Runs in a pool worker, so it takes and returns only
+    small picklable values."""
+    classified, _, digest = _classify_file(path)
+    if truncate_min is not None:
+        classified = truncate_packets(classified, truncate_min)
+    return tally(classified), digest
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; ``taskset`` narrows them."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else 1
+
+
+def _scan_dataset(directory: Path) -> DatasetManifest:
     if not directory.is_dir():
         raise _DomainError(f"not a dataset directory: {directory}")
-    manifest = scan_directory(directory)
-    captures = []
-    for entry in manifest.entries:
-        classified, _ = _classify_file(entry.capture_path)
-        if truncate_min is not None:
-            classified = truncate_packets(classified, truncate_min)
-        captures.append((entry.label, tally(classified)))
-    return manifest, captures
+    return scan_directory(directory)
+
+
+def _fold_captures(
+    entries: list[ManifestEntry], truncate_min: float | None
+) -> tuple[list[tuple[CaptureLabel, Tally]], dict[Path, str]]:
+    """Each capture reduced to its tally, in the order of ``entries``, and
+    the digest of each capture file.
+
+    The captures are folded on every usable CPU, one worker per capture at
+    most. Results come back in entry order, so reports equal a serial run's
+    byte for byte, and the first failing capture in that order raises its
+    error. With one worker no pool is made.
+    """
+    paths = [e.capture_path for e in entries]
+    fold = functools.partial(_capture_tally, truncate_min=truncate_min)
+    workers = min(_usable_cpus(), len(paths))
+    if workers <= 1:
+        results = list(map(fold, paths))
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork: the CLI has started no thread by now, and each worker
+        # inherits the imported package instead of starting an interpreter.
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        # About eight chunks per worker: few round trips, and a short last
+        # chunk when capture sizes differ.
+        chunksize = max(1, len(paths) // (8 * workers))
+        try:
+            results = list(pool.map(fold, paths, chunksize=chunksize))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    captures = [(e.label, t) for e, (t, _) in zip(entries, results)]
+    return captures, {p: digest for p, (_, digest) in zip(paths, results)}
 
 
 def cmd_analyze(args) -> int:
-    classified, flows = _classify_file(args.capture)
+    classified, flows, digest = _classify_file(args.capture)
     scope = Scope.APP_DATA_ONLY if args.app_data_only else Scope.ALL_PACKETS
     rows_source = [cp for cp in classified if cp.is_app_data] if args.app_data_only else classified
     dist = protocol_distribution(tally(classified), scope)
@@ -240,7 +288,7 @@ def cmd_analyze(args) -> int:
         coverage = key_coverage(index, flows.states)
         body["coverage"] = coverage_json(coverage, index.malformed_lines)
     inputs = [args.capture] + ([args.keylog] if args.keylog else [])
-    envelope = make_envelope("analyze", inputs, body)
+    envelope = make_envelope("analyze", inputs, body, {args.capture: digest})
     if args.csv_path:
         write_feature_csv(body["packets"], _resolve_csv(args.csv_path))
     _emit(args, envelope)
@@ -272,7 +320,8 @@ def cmd_dataset_scan(args) -> int:
 
 
 def cmd_dataset_stats(args) -> int:
-    manifest, captures = _load_dataset(args.directory, args.truncate_min)
+    manifest = _scan_dataset(args.directory)
+    captures, digests = _fold_captures(manifest.entries, args.truncate_min)
     if not captures:
         raise _DomainError(f"no captures found in {args.directory}")
     scope = Scope.APP_DATA_ONLY if args.app_data_only else Scope.ALL_PACKETS
@@ -283,7 +332,7 @@ def cmd_dataset_stats(args) -> int:
         "ppm": ppm_json(ppm),
         "distribution": distribution_json(dist),
     }
-    envelope = make_envelope("dataset-stats", [e.capture_path for e in manifest.entries], body)
+    envelope = make_envelope("dataset-stats", [e.capture_path for e in manifest.entries], body, digests)
     if args.csv_path:
         write_stats_csv(ppm, _resolve_csv(args.csv_path))
     _emit(args, envelope)
@@ -295,18 +344,19 @@ def cmd_dataset_stats(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    manifest_a, captures_a = _load_dataset(args.dir_a, args.truncate_min)
-    manifest_b, captures_b = _load_dataset(args.dir_b, args.truncate_min)
+    entries_a = _scan_dataset(args.dir_a).entries
+    entries_b = _scan_dataset(args.dir_b).entries
+    # One pool for both datasets' captures.
+    captures, digests = _fold_captures(entries_a + entries_b, args.truncate_min)
+    captures_a, captures_b = captures[: len(entries_a)], captures[len(entries_a) :]
     report = compare_datasets(captures_a, captures_b, common_only=args.common_only)
     common = set(report.common_apps)
     body = comparison_json(report)
     for key, captures in (("sankey_a", captures_a), ("sankey_b", captures_b)):
         sankey = flow_graph(merged([(lab, t) for lab, t in captures if lab.app_name in common]))
         body[key] = flow_graph_json(sankey)
-    inputs = [e.capture_path for e in manifest_a.entries] + [
-        e.capture_path for e in manifest_b.entries
-    ]
-    envelope = make_envelope("compare", inputs, body)
+    inputs = [e.capture_path for e in entries_a + entries_b]
+    envelope = make_envelope("compare", inputs, body, digests)
     if args.csv_path:
         write_compare_csv(report, _resolve_csv(args.csv_path))
     _emit(args, envelope)
@@ -322,11 +372,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_keycov(args) -> int:
-    _, flows = _classify_file(args.capture)
+    _, flows, digest = _classify_file(args.capture)
     index = read_keylog(args.keylog)
     coverage = key_coverage(index, flows.states)
     body = {"coverage": coverage_json(coverage, index.malformed_lines)}
-    envelope = make_envelope("keycov", [args.capture, args.keylog], body)
+    envelope = make_envelope("keycov", [args.capture, args.keylog], body, {args.capture: digest})
     _emit(args, envelope)
     if args.json_path is None:
         print(
@@ -337,12 +387,12 @@ def cmd_keycov(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    classified, _ = _classify_file(args.capture)
+    classified, _, digest = _classify_file(args.capture)
     tags = attribute_background(classified, baseline_mode=True)
     tagged = [cp for cp, tag in zip(classified, tags) if tag is not BackgroundKind.NONE]
     hist = temporal_histogram(tagged, bin_width_s=args.bins)
     body = {"tags": background_json(tags), "histogram": histogram_json(hist)}
-    envelope = make_envelope("baseline", [args.capture], body)
+    envelope = make_envelope("baseline", [args.capture], body, {args.capture: digest})
     _emit(args, envelope)
     if args.json_path is None:
         for kind, count in body["tags"].items():
@@ -351,6 +401,19 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    # Imported here and in _synth: no other command needs the synthesizer.
+    from .synth import FixtureSpecError
+
+    try:
+        return _synth(args)
+    except FixtureSpecError as exc:
+        print(f"appcap: invalid fixture spec: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+
+
+def _synth(args) -> int:
+    from .synth import FixtureSpec, FixtureSpecError, parse_fixture_spec, synth_dataset
+
     try:
         spec_obj = json.loads(args.spec.read_text())
     except json.JSONDecodeError as exc:

@@ -75,11 +75,18 @@ class TruncatedFrame(CaptureError):
         self.frames_read = frames_read
         self.stream = stream
 
+    def __reduce__(self):
+        # Rebuilt from its fields, so it survives a process pool's pickling.
+        return TruncatedFrame, (self.frames_read, self.stream)
+
 
 class UnsupportedLinkType(CaptureError):
     def __init__(self, linktype_id: int):
         super().__init__(f"unsupported link type {linktype_id}")
         self.linktype_id = linktype_id
+
+    def __reduce__(self):
+        return UnsupportedLinkType, (self.linktype_id,)
 
 
 class MalformedHeader(CaptureError):

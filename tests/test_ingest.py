@@ -1,4 +1,5 @@
 import ipaddress
+import pickle
 
 import pytest
 from helpers import (
@@ -25,6 +26,7 @@ from appcap.ingest import (
     LINKTYPE_SLL,
     LINKTYPE_SLL2,
     ByteOrder,
+    CaptureError,
     DecodeSummary,
     MalformedHeader,
     PacketRecord,
@@ -125,6 +127,46 @@ class TestReadCapture:
         data = pcap_header() + pcap_record(frame, orig_len=0)
         stream = read_capture(data)
         assert stream.frames[0].original_len == len(frame)
+
+
+def _raised(call) -> CaptureError:
+    with pytest.raises(CaptureError) as excinfo:
+        call()
+    return excinfo.value
+
+
+def _capture_errors() -> dict[type, CaptureError]:
+    """One instance of every CaptureError, raised from real input."""
+    truncated = pcap_file([eth(ip4(udp(b"x")))]) + pcap_record(b"\x00" * 60)[:30]
+    return {
+        UnknownMagic: _raised(lambda: read_capture(b"\x00" * 32)),
+        TruncatedHeader: _raised(lambda: read_capture(pcap_header()[:10])),
+        TruncatedFrame: _raised(lambda: read_capture(truncated)),
+        UnsupportedLinkType: _raised(lambda: decode_stream(read_capture(pcap_file([b"\\x00" * 32], linktype=228)))),
+        MalformedHeader: _raised(lambda: decode_frame(raw_frame(eth(b"\x45\x00\x00")), LINKTYPE_ETHERNET)),
+    }
+
+
+def _subclasses(cls: type) -> set[type]:
+    direct = set(cls.__subclasses__())
+    return direct.union(*(_subclasses(c) for c in direct))
+
+
+class TestCaptureErrorPickling:
+    """Dataset commands fold captures in worker processes, so a capture's
+    error crosses a process boundary by pickle."""
+
+    def test_every_capture_error_is_covered(self):
+        assert set(_capture_errors()) == _subclasses(CaptureError)
+
+    @pytest.mark.parametrize("kind", sorted(_subclasses(CaptureError), key=lambda c: c.__name__))
+    def test_round_trip_keeps_type_text_and_fields(self, kind):
+        exc = _capture_errors()[kind]
+        copy = pickle.loads(pickle.dumps(exc))
+        assert type(copy) is kind
+        assert str(copy) == str(exc)
+        assert copy.args == exc.args
+        assert vars(copy) == vars(exc)
 
 
 class TestPerPacketInvariants:

@@ -1,0 +1,210 @@
+"""Dataset commands fold captures in a process pool; reports equal a serial run's.
+
+``dataset stats`` and ``compare`` use one worker per usable CPU, up to one
+per capture. These tests set the usable-CPU count to 1, 2 and 3 and require
+the same report bytes (apart from ``generated_at``) and CSV bytes each time,
+the same exit code and message when a capture in the middle of a dataset
+cannot be parsed, and no pool at all where one worker is enough.
+"""
+
+from __future__ import annotations
+
+import concurrent.futures
+import contextlib
+import io
+import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from test_report_goldens import FIXTURES, _GENERATED_AT
+
+from appcap import cli
+from appcap.cli import main
+from appcap.dataset import scan_directory
+from appcap.ingest import read_capture
+
+CPU_COUNTS = (1, 2, 3)
+
+# Captures from 1,200 down to 3 packets, the largest first in manifest
+# order, so workers finish out of order.
+VARIED_SPEC = {
+    "apps": [
+        {
+            "app_name": f"com.varied.app{i}",
+            "captures": [
+                {
+                    "duration_s": 150,
+                    "flows": [
+                        {"protocol_profile": "QuicV1", "app_data_packets": packets, "rate_pps": 12},
+                        {"protocol_profile": "Do53", "app_data_packets": max(1, packets // 10), "rate_pps": 2},
+                        {"protocol_profile": "Tls13", "app_data_packets": packets // 4, "start_offset_s": 20},
+                    ],
+                }
+                for packets in sizes
+            ],
+        }
+        for i, sizes in enumerate([(1200, 900), (700, 3, 400), (3, 250, 60), (120, 3), (40, 3, 20)])
+    ]
+}
+
+COMMANDS = {
+    "stats": ["dataset", "stats", "{a}"],
+    "stats-trunc-app": ["dataset", "stats", "{a}", "--truncate-min", "1.5", "--app-data-only"],
+    "compare": ["compare", "{a}", "{b}"],
+    "compare-common": ["compare", "{a}", "{b}", "--common-only"],
+}
+CORPORA = {"fixtures": ("dns_evolution_a", "dns_evolution_b"), "varied": ("varied_a", "varied_b")}
+
+
+def _synth(spec_path: Path, out: Path, *extra: str) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", str(spec_path), str(out), *extra]) == 0
+
+
+@pytest.fixture(scope="module")
+def corpus_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("parallel")
+    for name in CORPORA["fixtures"]:
+        _synth(FIXTURES / f"{name}.json", root / name)
+    spec = root / "varied.json"
+    spec.write_text(json.dumps(VARIED_SPEC))
+    _synth(spec, root / "varied_a", "--seed", "5")
+    _synth(spec, root / "varied_b", "--seed", "6")
+    return root
+
+
+@pytest.fixture
+def in_root(corpus_root, monkeypatch):
+    monkeypatch.chdir(corpus_root)
+    monkeypatch.delenv("APPCAP_OUTPUT_DIR", raising=False)
+    return corpus_root
+
+
+def _set_cpus(monkeypatch, count: int) -> None:
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
+
+
+def _pool_sizes(monkeypatch) -> list[int]:
+    """Record the worker count of every pool the CLI makes."""
+    sizes: list[int] = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return sizes
+
+
+def _forbid_pool(monkeypatch) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was made")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+
+def _outputs(root: Path, argv: list[str]) -> tuple[bytes, bytes]:
+    code = main(argv + ["--json", "out.json", "--csv", "out.csv"])
+    assert code == 0
+    body = _GENERATED_AT.sub(b'  "generated_at": "",', (root / "out.json").read_bytes())
+    return body, (root / "out.csv").read_bytes()
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_reports_equal_the_serial_run(corpus, command, in_root, monkeypatch):
+    a, b = CORPORA[corpus]
+    argv = [arg.format(a=a, b=b) for arg in COMMANDS[command]]
+    sizes = _pool_sizes(monkeypatch)
+    outputs = {}
+    for count in CPU_COUNTS:
+        _set_cpus(monkeypatch, count)
+        outputs[count] = _outputs(in_root, argv)
+    assert outputs[2] == outputs[1]
+    assert outputs[3] == outputs[1]
+    captures = sum(len(scan_directory(in_root / arg).entries) for arg in (a, b) if arg in argv)
+    assert sizes == [min(n, captures) for n in CPU_COUNTS if min(n, captures) > 1]
+
+
+def test_one_capture_makes_no_pool(in_root, monkeypatch):
+    _forbid_pool(monkeypatch)
+    _set_cpus(monkeypatch, 3)
+    assert len(scan_directory(in_root / "dns_evolution_a").entries) == 1
+    _outputs(in_root, ["dataset", "stats", "dns_evolution_a"])
+
+
+def test_one_cpu_makes_no_pool(in_root, monkeypatch):
+    _forbid_pool(monkeypatch)
+    _set_cpus(monkeypatch, 1)
+    _outputs(in_root, ["compare", "varied_a", "varied_b"])
+    _outputs(in_root, ["dataset", "stats", "varied_a"])
+
+
+def test_usable_cpus_follows_the_affinity_mask(monkeypatch):
+    assert cli._usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._usable_cpus() == 1
+
+
+def test_pool_parent_does_not_load_openssl(corpus_root):
+    """Only processes that hash capture bytes import hashlib (and OpenSSL)."""
+    script = (
+        "import sys; from appcap import cli; cli._usable_cpus = lambda: 2; "
+        f"assert cli.main(['dataset', 'stats', {str(corpus_root / 'varied_a')!r}]) == 0; "
+        "assert 'hashlib' not in sys.modules, 'hashlib imported'"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.fixture(scope="module")
+def broken_dir(tmp_path_factory):
+    """24 captures, the 7th ending in a cut record and the 15th of link type
+    228, and the message a serial run gives for the 7th."""
+    spec = {
+        "apps": [
+            {
+                "app_name": f"com.broken.app{i}",
+                "captures": [{"duration_s": 30, "flows": [{"protocol_profile": "QuicV1", "app_data_packets": 40}]}] * 4,
+            }
+            for i in range(6)
+        ]
+    }
+    root = tmp_path_factory.mktemp("broken")
+    (root / "spec.json").write_text(json.dumps(spec))
+    _synth(root / "spec.json", root / "data")
+    entries = scan_directory(root / "data").entries
+    assert len(entries) == 24
+    cut = entries[6].capture_path
+    data = cut.read_bytes()
+    cut.write_bytes(data[:-5])
+    frames = len(read_capture(data).offsets)
+    relinked = entries[14].capture_path
+    data = relinked.read_bytes()
+    relinked.write_bytes(data[:20] + struct.pack("<I", 228) + data[24:])
+    return root / "data", f"appcap: cannot parse capture: frame record truncated after {frames - 1} frames\n"
+
+
+@pytest.mark.parametrize("command", ["stats", "compare"])
+def test_broken_capture_fails_as_in_a_serial_run(command, broken_dir, corpus_root, monkeypatch, capfd):
+    broken_dir, message = broken_dir
+    argv = {
+        "stats": ["dataset", "stats", str(broken_dir)],
+        "compare": ["compare", str(corpus_root / "varied_a"), str(broken_dir)],
+    }[command]
+    results = {}
+    for count in CPU_COUNTS:
+        _set_cpus(monkeypatch, count)
+        code = main(argv)
+        results[count] = (code, capfd.readouterr())
+    assert results[1][0] == 3
+    assert results[1][1].err == message
+    assert results[1][1].out == ""
+    assert results[2] == results[1]
+    assert results[3] == results[1]

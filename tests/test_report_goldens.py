@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import re
 import tempfile
@@ -120,6 +121,18 @@ def test_report_matches_golden(command, corpus_root, monkeypatch):
     monkeypatch.delenv("APPCAP_OUTPUT_DIR", raising=False)
     argv, has_csv = matrix()[command]
     assert digests(corpus_root, command, argv, has_csv) == GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", sorted(matrix()))
+def test_inputs_carry_the_digest_of_each_file(command, corpus_root, monkeypatch):
+    monkeypatch.chdir(corpus_root)
+    monkeypatch.delenv("APPCAP_OUTPUT_DIR", raising=False)
+    argv, _ = matrix()[command]
+    assert main(argv + ["--json", "inputs.json"]) == 0
+    inputs = json.loads((corpus_root / "inputs.json").read_text())["inputs"]
+    assert inputs
+    for entry in inputs:
+        assert entry["sha256"] == hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest()
 
 
 def test_matrix_is_pinned_in_full():
