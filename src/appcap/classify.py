@@ -108,11 +108,30 @@ _OTHER_TCP = AppProtocol(ProtoTag.OTHER_TCP)
 _OTHER_UDP = AppProtocol(ProtoTag.OTHER_UDP)
 
 
-@dataclass(frozen=True, slots=True)
-class FlowKey:
+class _FlowKeyFields(NamedTuple):
     endpoint_lo: tuple[str, int]
     endpoint_hi: tuple[str, int]
     transport: Transport
+
+
+class FlowKey(_FlowKeyFields):
+    """A flow's two endpoints, lower first, and its transport.
+
+    A tuple, so sets and dicts of keys hash and compare it in C; it equals a
+    plain tuple of the same fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, endpoint_lo, endpoint_hi, transport):
+        if endpoint_hi < endpoint_lo:
+            raise ValueError("endpoint_lo must not sort after endpoint_hi")
+        return tuple.__new__(cls, (endpoint_lo, endpoint_hi, transport))
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through here; keep it behind the check.
+        return cls(*iterable)
 
     @classmethod
     def from_record(cls, record: PacketRecord) -> "FlowKey":

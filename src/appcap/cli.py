@@ -10,10 +10,15 @@ when it is set.
 from __future__ import annotations
 
 import argparse
+import collections
+import dataclasses
 import functools
+import gc
 import json
 import os
+import signal
 import sys
+import tempfile
 from pathlib import Path
 
 from .analytics import (
@@ -38,9 +43,10 @@ from .dataset import (
     scan_directory,
     truncate_packets,
 )
-from .ingest import CaptureError, PacketRecord, decode_stream, read_capture
+from .ingest import CaptureError, CaptureStream, decode_stream, read_capture
 from .keylog import key_coverage, read_keylog
 from .reports import (
+    PacketTable,
     background_json,
     comparison_json,
     coverage_json,
@@ -54,7 +60,9 @@ from .reports import (
     write_compare_csv,
     write_envelope,
     write_feature_csv,
+    write_feature_json,
     write_stats_csv,
+    write_table_csv,
 )
 
 EXIT_OK = 0
@@ -71,6 +79,11 @@ class _DomainError(Exception):
 
 class _UsageError(Exception):
     """Carries a user-facing message for exit code 64."""
+
+
+class _RenderError(Exception):
+    """Carries a user-facing message for exit code 2: the packet table
+    could not be rendered."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -158,6 +171,19 @@ def _output_flags(parser, csv: bool = True) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Per-packet objects hold no reference cycles, so the cyclic GC would
+    # only walk them; in ``analyze`` it would also write to pages that the
+    # table's renderers share.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(args)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _run(args) -> int:
     try:
         return args.func(args)
     except CaptureError as exc:
@@ -172,7 +198,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"appcap: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
+    except (OSError, _RenderError) as exc:
         print(f"appcap: {exc}", file=sys.stderr)
         return EXIT_IO
 
@@ -200,18 +226,18 @@ def _emit(args, envelope: dict) -> None:
         write_envelope(envelope, _resolve_out(args.json_path), sys.stdout)
 
 
-def _decode_file(path: Path) -> tuple[list[PacketRecord], str]:
-    """A capture's records and the SHA-256 of the bytes they were read from.
-
-    The bytes are freed on return, before the records are classified."""
+def _read_file(path: Path) -> tuple[CaptureStream, str]:
+    """A capture's framing and the SHA-256 of the bytes it was read from."""
     import hashlib  # see reports._file_sha256
 
     data = path.read_bytes()
-    return decode_stream(read_capture(data)), hashlib.sha256(data).hexdigest()
+    return read_capture(data), hashlib.sha256(data).hexdigest()
 
 
 def _classify_file(path: Path) -> tuple[list[ClassifiedPacket], FlowTable, str]:
-    records, digest = _decode_file(path)
+    stream, digest = _read_file(path)
+    records = decode_stream(stream)
+    del stream  # the file's bytes, freed before the records are classified
     flows = FlowTable()
     return [flows.classify(r) for r in records], flows, digest
 
@@ -272,29 +298,136 @@ def _fold_captures(
     return captures, {p: digest for p, (_, digest) in zip(paths, results)}
 
 
+# Frames that ``analyze`` decodes and classifies per step; each step's rows
+# are rendered while the next step is classified.
+_CHUNK_FRAMES = 4096
+
+
 def cmd_analyze(args) -> int:
-    classified, flows, digest = _classify_file(args.capture)
-    scope = Scope.APP_DATA_ONLY if args.app_data_only else Scope.ALL_PACKETS
-    rows_source = [cp for cp in classified if cp.is_app_data] if args.app_data_only else classified
-    dist = protocol_distribution(tally(classified), scope)
-    hist = temporal_histogram(classified, bin_width_s=args.bins)
-    body = {
-        "packets": feature_rows(rows_source),
-        "distribution": distribution_json(dist),
-        "histogram": histogram_json(hist),
-    }
-    if args.keylog is not None:
-        index = read_keylog(args.keylog)
-        coverage = key_coverage(index, flows.states)
-        body["coverage"] = coverage_json(coverage, index.malformed_lines)
-    inputs = [args.capture] + ([args.keylog] if args.keylog else [])
-    envelope = make_envelope("analyze", inputs, body, {args.capture: digest})
-    if args.csv_path:
-        write_feature_csv(body["packets"], _resolve_csv(args.csv_path))
-    _emit(args, envelope)
+    stream, digest = _read_file(args.capture)
+    flows = FlowTable()
+    classified: list[ClassifiedPacket] = []
+    want_json, want_csv = args.json_path is not None, bool(args.csv_path)
+    with _TableRenderer(args.app_data_only, want_json, want_csv) as renderer:
+        for start in range(0, len(stream.offsets), _CHUNK_FRAMES):
+            chunk = dataclasses.replace(stream, offsets=stream.offsets[start : start + _CHUNK_FRAMES])
+            packets = [flows.classify(r) for r in decode_stream(chunk)]
+            renderer.render(packets)
+            classified += packets
+        scope = Scope.APP_DATA_ONLY if args.app_data_only else Scope.ALL_PACKETS
+        dist = protocol_distribution(tally(classified), scope)
+        hist = temporal_histogram(classified, bin_width_s=args.bins)
+        body = {"distribution": distribution_json(dist), "histogram": histogram_json(hist)}
+        if args.keylog is not None:
+            index = read_keylog(args.keylog)
+            coverage = key_coverage(index, flows.states)
+            body["coverage"] = coverage_json(coverage, index.malformed_lines)
+        body["packets"] = renderer.table()
+        inputs = [args.capture] + ([args.keylog] if args.keylog else [])
+        envelope = make_envelope("analyze", inputs, body, {args.capture: digest})
+        if want_csv:
+            write_table_csv(body["packets"], _resolve_csv(args.csv_path))
+        _emit(args, envelope)
     if args.json_path is None:
         _print_distribution(dist)
     return EXIT_OK
+
+
+class _TableRenderer:
+    """Renders ``analyze``'s packet table one chunk of packets at a time.
+
+    Each chunk's rows go to two unnamed temporary files, its pieces of the
+    table. A forked child renders them from the packets it inherits, while
+    the caller goes on classifying; at most one child per usable CPU but
+    one is alive, and the oldest is reaped first. With one usable CPU, or
+    without ``os.fork``, each chunk is rendered inline. A failed render
+    raises ``_RenderError``; on leaving the ``with`` block, children still
+    alive are killed and reaped and the pieces are closed.
+    """
+
+    def __init__(self, app_data_only: bool, json: bool, csv: bool):
+        self.app_data_only = app_data_only
+        self.json, self.csv = json, csv
+        self.slots = _usable_cpus() - 1 if hasattr(os, "fork") else 0
+        self.json_pieces: list = []
+        self.csv_pieces: list = []
+        self.live: collections.deque[tuple[int, int]] = collections.deque()  # (pid, error pipe)
+
+    def __enter__(self) -> _TableRenderer:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        while self.live:
+            pid, error_pipe = self.live.popleft()
+            os.close(error_pipe)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for piece in self.json_pieces + self.csv_pieces:
+            piece.close()
+
+    def render(self, packets: list[ClassifiedPacket]) -> None:
+        if not (self.json or self.csv):
+            return
+        json_piece = csv_piece = None
+        if self.json:
+            json_piece = tempfile.TemporaryFile()
+            self.json_pieces.append(json_piece)
+        if self.csv:
+            csv_piece = tempfile.TemporaryFile()
+            self.csv_pieces.append(csv_piece)
+        if self.slots < 1:
+            self._render(packets, json_piece, csv_piece)
+            return
+        if len(self.live) >= self.slots:
+            self._reap()
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+        if pid == 0:  # the renderer: report a failure on the pipe, and never return
+            status = 1
+            try:
+                os.close(read_end)
+                self._render(packets, json_piece, csv_piece)
+                status = 0
+            except BaseException as exc:
+                os.write(write_end, str(exc).encode("utf-8", "replace")[:4096])
+            finally:
+                os._exit(status)
+        os.close(write_end)
+        self.live.append((pid, read_end))
+
+    def _render(self, packets, json_piece, csv_piece) -> None:
+        """Write the rows of ``packets`` to the pieces that are not None."""
+        try:
+            rows = feature_rows([cp for cp in packets if cp.is_app_data] if self.app_data_only else packets)
+            for piece, write in ((json_piece, write_feature_json), (csv_piece, write_feature_csv)):
+                if piece is not None:
+                    write(rows, piece)
+                    piece.flush()
+        except Exception as exc:
+            raise _RenderError(f"cannot render the packet table: {exc}") from exc
+
+    def _reap(self) -> None:
+        pid, error_pipe = self.live[0]
+        _, status = os.waitpid(pid, 0)
+        self.live.popleft()
+        try:
+            message = os.read(error_pipe, 4096).decode("utf-8", "replace")
+        finally:
+            os.close(error_pipe)
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            raise _RenderError(message or f"cannot render the packet table: renderer exited with {code}")
+
+    def table(self) -> PacketTable:
+        """The whole table, once every renderer has finished."""
+        while self.live:
+            self._reap()
+        return PacketTable(self.json_pieces, self.csv_pieces)
 
 
 def _print_distribution(dist) -> None:

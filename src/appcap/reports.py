@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import json
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import BinaryIO, Mapping, Sequence
 
 from . import __version__
 from .analytics import (
@@ -74,17 +75,21 @@ def _flat_encoder(depth: int):
     return json.JSONEncoder(sort_keys=True, separators=(",\n" + _INDENT * depth, ": ")).encode
 
 
-def _dumps(value, depth: int) -> str:
+def _dumps(value, depth: int, tables: list[PacketTable]) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for a value nested ``depth`` deep.
 
     A container whose items are all scalars goes to the C encoder in one
-    call; Python walks only the containers above such ones. ``FeatureRows``
-    renders as its list of row objects. Anything else (non-str keys,
-    subclasses of the JSON types, other objects) takes the stdlib's own path.
+    call; Python walks only the containers above such ones. A ``PacketTable``
+    renders as its brackets around ``_TABLE_MARK``, where ``write_envelope``
+    copies its pieces. Anything else (non-str keys, subclasses of the JSON
+    types, other objects) takes the stdlib's own path.
     """
     kind = type(value)
-    if kind is FeatureRows:
-        return _feature_table(value, depth)
+    if kind is PacketTable:
+        if depth != _TABLE_DEPTH:
+            raise ValueError(f"a packet table is rendered for depth {_TABLE_DEPTH}, not {depth}")
+        tables.append(value)
+        return f"[\n{_ROW_PAD}{_TABLE_MARK}\n{_INDENT * depth}]" if value.json_pieces else "[]"
     if kind in _SCALAR_TYPES:
         return _flat_encoder(0)(value)
     if kind is dict and _STR_TYPE.issuperset(map(type, value)):
@@ -101,43 +106,44 @@ def _dumps(value, depth: int) -> str:
         text = _flat_encoder(depth + 1)(value)[1:-1]
     elif kind is dict:
         text = (",\n" + pad).join(
-            f"{encode_basestring_ascii(k)}: {_dumps(v, depth + 1)}" for k, v in sorted(value.items())
+            f"{encode_basestring_ascii(k)}: {_dumps(v, depth + 1, tables)}"
+            for k, v in sorted(value.items())
         )
     else:
-        text = (",\n" + pad).join(_dumps(v, depth + 1) for v in value)
+        text = (",\n" + pad).join(_dumps(v, depth + 1, tables) for v in value)
     return f"{brackets[0]}\n{pad}{text}\n{_INDENT * depth}{brackets[1]}"
 
 
-def _feature_table(rows: FeatureRows, depth: int) -> str:
-    """The rows as a JSON list of objects: one ``%`` template, keys sorted,
-    filled once per row. Strings go through the encoder's own escaping and
-    ints through ``int.__repr__``, as in ``json.dumps``; ``app_data`` is the
-    one bool."""
-    if not rows:
-        return "[]"
-    pad = _INDENT * (depth + 1)
-    slots = ",".join(f"\n{pad}{_INDENT}{encode_basestring_ascii(c)}: %s" for c in _ROW_SLOTS)
-    template = f"{{{slots}\n{pad}}}"
-    esc = encode_basestring_ascii
-    json_bool = ("false", "true")
-    text = (",\n" + pad).join([
-        template % (
-            json_bool[app_data], esc(dst_ip), dst_port, esc(info), packet_len,
-            esc(protocol), esc(src_ip), src_port, esc(transport), ts_ns,
-        )
-        for ts_ns, src_ip, src_port, dst_ip, dst_port, transport, protocol, info, app_data, packet_len
-        in rows
-    ])
-    return f"[\n{pad}{text}\n{_INDENT * depth}]"
-
-
 def write_envelope(envelope: dict, path: Path | None, stream) -> None:
-    """Write what ``json.dumps(envelope, indent=2, sort_keys=True)`` writes, plus a newline."""
-    text = _dumps(envelope, 0) + "\n"
+    """Write what ``json.dumps(envelope, indent=2, sort_keys=True)`` writes, plus a newline.
+
+    A ``PacketTable`` in the envelope is written as its pieces, copied in
+    order between the text around it.
+    """
+    tables: list[PacketTable] = []
+    texts = (_dumps(envelope, 0, tables) + "\n").split(_TABLE_MARK)
     if path is None:
-        stream.write(text)
+        _write_report(texts, tables, lambda data: stream.write(data.decode("ascii")))
     else:
-        path.write_text(text)
+        with path.open("wb") as fh:
+            _write_report(texts, tables, fh.write)
+
+
+def _write_report(texts: list[str], tables: list[PacketTable], write) -> None:
+    # The text is ASCII: every string in it went through ``ensure_ascii``.
+    write(texts[0].encode("ascii"))
+    for table, text in zip(tables, texts[1:]):
+        for i, piece in enumerate(table.json_pieces):
+            if i:
+                write(_ROW_SEPARATOR.encode("ascii"))
+            _copy_piece(piece, write)
+        write(text.encode("ascii"))
+
+
+def _copy_piece(piece: BinaryIO, write) -> None:
+    piece.seek(0)
+    for block in iter(functools.partial(piece.read, 1 << 20), b""):
+        write(block)
 
 
 def distribution_json(dist: ProtocolDistribution) -> dict:
@@ -302,39 +308,85 @@ FEATURE_COLUMNS = [
     "app_data",
     "packet_len",
 ]
-# The columns in JSON key order; ``_feature_table`` fills them in this order.
-_ROW_SLOTS = sorted(FEATURE_COLUMNS)
 _TRANSPORT_NAMES = {t: t.value for t in Transport}
 
 
-class FeatureRows(list):
-    """``feature_rows`` output: one tuple per packet, in FEATURE_COLUMNS order.
-
-    A report renders it as a list of objects keyed by the columns, the text
-    ``json.dumps`` gives for ``[dict(zip(FEATURE_COLUMNS, row)) ...]``.
-    """
-
-    __slots__ = ()
-
-
-def feature_rows(classified: Sequence[ClassifiedPacket]) -> FeatureRows:
+def feature_rows(classified: Sequence[ClassifiedPacket]) -> list[tuple]:
     """One row per packet, in FEATURE_COLUMNS order; ``info`` is ``describe_packet``."""
-    return FeatureRows([
+    return [
         (
             r.ts_ns, r.src_ip, r.src_port, r.dst_ip, r.dst_port, _TRANSPORT_NAMES[r.transport],
             cp.protocol.category, describe_packet(cp), cp.is_app_data, r.packet_len,
         )
         for cp in classified
         for r in (cp.record,)
-    ])
+    ]
 
 
-def write_feature_csv(rows: Sequence[tuple], path: Path) -> None:
-    """Write ``feature_rows`` output: a header, then each row's values in column order."""
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FEATURE_COLUMNS)
-        writer.writerows(rows)
+class PacketTable:
+    """``analyze``'s packet table, rendered in pieces.
+
+    Each piece is a binary file holding the rows of consecutive packets:
+    ``write_feature_json`` output in ``json_pieces`` and ``write_feature_csv``
+    output in ``csv_pieces``, in table order. A report holds the table as
+    its ``body.packets``; ``write_envelope`` and ``write_table_csv`` copy the
+    pieces into the files. Empty JSON pieces are dropped.
+    """
+
+    __slots__ = ("json_pieces", "csv_pieces")
+
+    def __init__(self, json_pieces: Sequence[BinaryIO] = (), csv_pieces: Sequence[BinaryIO] = ()):
+        self.json_pieces = [p for p in json_pieces if p.seek(0, io.SEEK_END)]
+        self.csv_pieces = list(csv_pieces)
+
+
+# ``body.packets`` sits two levels deep in a report, so its rows are at depth
+# 3. The NUL marks the table in the envelope's text: a JSON text holds none,
+# as every string in it is escaped.
+_TABLE_DEPTH = 2
+_ROW_PAD = _INDENT * (_TABLE_DEPTH + 1)
+_TABLE_MARK = "\0"
+_ROW_SEPARATOR = f",\n{_ROW_PAD}"
+# A row's object with its keys sorted; ``write_feature_json`` fills the slots.
+_ROW_TEMPLATE = "{%s\n%s}" % (
+    ",".join(f"\n{_ROW_PAD}{_INDENT}{encode_basestring_ascii(c)}: %s" for c in sorted(FEATURE_COLUMNS)),
+    _ROW_PAD,
+)
+_CSV_HEADER = (",".join(FEATURE_COLUMNS) + "\r\n").encode("ascii")
+
+
+def write_feature_json(rows: Sequence[tuple], fh: BinaryIO) -> None:
+    """Write ``feature_rows`` output as a ``PacketTable`` JSON piece: the
+    rows' objects, keys sorted, joined by the table's separator, as
+    ``json.dumps`` of the report writes them. Strings go through the
+    encoder's own escaping and ints through ``int.__repr__``; ``app_data``
+    is the one bool."""
+    esc = encode_basestring_ascii
+    json_bool = ("false", "true")
+    fh.write(_ROW_SEPARATOR.join([
+        _ROW_TEMPLATE % (
+            json_bool[app_data], esc(dst_ip), dst_port, esc(info), packet_len,
+            esc(protocol), esc(src_ip), src_port, esc(transport), ts_ns,
+        )
+        for ts_ns, src_ip, src_port, dst_ip, dst_port, transport, protocol, info, app_data, packet_len
+        in rows
+    ]).encode("ascii"))
+
+
+def write_feature_csv(rows: Sequence[tuple], fh: BinaryIO) -> None:
+    """Write ``feature_rows`` output as a ``PacketTable`` CSV piece: each
+    row's values in column order, encoded as ``open`` encodes text."""
+    text = io.TextIOWrapper(fh, newline="")
+    csv.writer(text).writerows(rows)
+    text.detach()
+
+
+def write_table_csv(table: PacketTable, path: Path) -> None:
+    """Write the table's CSV: a header, then the pieces in order."""
+    with path.open("wb") as fh:
+        fh.write(_CSV_HEADER)
+        for piece in table.csv_pieces:
+            _copy_piece(piece, fh.write)
 
 
 COMPARE_COLUMNS = ["app", "ppm_a", "ppm_b", "ratio"]

@@ -1,0 +1,308 @@
+"""``analyze`` renders its packet table in forked renderers while it classifies.
+
+The capture is decoded and classified in chunks of ``cli._CHUNK_FRAMES``
+frames. Each chunk's rows are rendered by a forked child, at most one per
+usable CPU but one alive at a time, or inline on one CPU. These tests set
+the usable-CPU count to 1, 2 and 3 and the chunk size from 1 frame to more
+than the capture holds, and require the same report bytes (apart from
+``generated_at``) and CSV bytes each time, equal to the pinned report
+goldens. They also require that a failed render or an unusable temporary
+directory exits 2 with a message, that capture errors still exit 3, that no
+child is left behind on any exit path, and that the cyclic GC is switched
+off for the command only.
+"""
+
+from __future__ import annotations
+
+import gc
+import hashlib
+import json
+import os
+import tempfile
+from pathlib import Path
+
+import pytest
+from test_report_goldens import _GENERATED_AT, FIXTURE_NAMES, GOLDEN, _capture_stem, synthesize
+
+from appcap import cli
+from appcap.cli import main
+from appcap.ingest import decode_stream, read_capture
+from appcap.reports import FEATURE_COLUMNS
+
+CPU_COUNTS = (1, 2, 3)
+WHOLE = 10**9  # a chunk size larger than any capture here: one piece
+# A fork of the test process costs milliseconds, so chunks of one frame run
+# on the first HEAD_FRAMES frames of the smallest fixture only.
+HEAD_FRAMES = 150
+
+# Flag set name: (extra argv, JSON output, CSV output). JSON output is a file,
+# "-" for stdout, or None; the golden command the output must match is
+# named after the fixture.
+FLAG_SETS = {
+    "plain": ([], "out.json", "out.csv"),
+    "app-data": (["--app-data-only", "--bins", "5"], "out.json", "out.csv"),
+    "keylog": (["--keylog", "{keylog}"], "out.json", "out.csv"),
+    "json-stdout": ([], "-", "out.csv"),
+    "csv-only": ([], None, "out.csv"),
+    "json-only": ([], "out.json", None),
+}
+GOLDEN_COMMAND = {"plain": "analyze", "app-data": "analyze-app-bins5", "keylog": "analyze-keylog"}
+
+
+@pytest.fixture(scope="module")
+def corpus_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pipeline")
+    synthesize(root)
+    empty = root / "empty" / "empty.pcap"
+    empty.parent.mkdir()
+    data = (root / FIXTURE_NAMES[0] / f"{_capture_stem(FIXTURE_NAMES[0])}.pcap").read_bytes()
+    empty.write_bytes(data[:24])
+    head = root / "head" / "head.pcap"
+    head.parent.mkdir()
+    head.write_bytes(data[: read_capture(data).offsets[HEAD_FRAMES]])
+    return root
+
+
+@pytest.fixture
+def in_root(corpus_root, monkeypatch):
+    monkeypatch.chdir(corpus_root)
+    monkeypatch.delenv("APPCAP_OUTPUT_DIR", raising=False)
+    return corpus_root
+
+
+def _paths(name: str) -> tuple[str, str]:
+    if name in ("empty", "head"):
+        return f"{name}/{name}.pcap", ""
+    return f"{name}/{_capture_stem(name)}.pcap", f"{name}/sslkeylog_{_capture_stem(name)}.txt"
+
+
+def _frames(root: Path, name: str) -> int:
+    return len(read_capture((root / _paths(name)[0]).read_bytes()).offsets)
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _run(root, monkeypatch, capfd, name, flags, cpus, chunk) -> tuple:
+    """(exit code, JSON bytes, CSV bytes, stdout) of one ``analyze``; the
+    JSON comes from its file or stdout, with ``generated_at`` blanked."""
+    capture, keylog = _paths(name)
+    extra, json_out, csv_out = FLAG_SETS[flags]
+    argv = ["analyze", capture] + [arg.format(keylog=keylog) for arg in extra]
+    argv += ["--json", json_out] if json_out else []
+    argv += ["--csv", csv_out] if csv_out else []
+    for out in ("out.json", "out.csv"):
+        (root / out).unlink(missing_ok=True)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "_CHUNK_FRAMES", chunk)
+    code = main(argv)
+    assert_no_child_left()
+    out, err = capfd.readouterr()
+    assert err == ""
+    report = out.encode() if json_out == "-" else (root / "out.json").read_bytes() if json_out else None
+    if report is not None:
+        report = _GENERATED_AT.sub(b'  "generated_at": "",', report)
+    table = (root / "out.csv").read_bytes() if csv_out else None
+    return code, report, table, out if json_out != "-" else ""
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("flags", sorted(FLAG_SETS))
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_outputs_equal_a_one_piece_render(name, flags, in_root, monkeypatch, capfd):
+    reference = _run(in_root, monkeypatch, capfd, name, flags, 1, WHOLE)
+    assert reference[0] == 0
+    frames = _frames(in_root, name)
+    for cpus in CPU_COUNTS:
+        for chunk in (7 if name == FIXTURE_NAMES[0] else 97, frames, frames + 1):
+            assert _run(in_root, monkeypatch, capfd, name, flags, cpus, chunk) == reference, (cpus, chunk)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_one_piece_render_matches_the_goldens(name, in_root, monkeypatch, capfd):
+    runs = {flags: _run(in_root, monkeypatch, capfd, name, flags, 1, WHOLE) for flags in FLAG_SETS}
+    for flags, command in GOLDEN_COMMAND.items():
+        _, report, table, _ = runs[flags]
+        assert {"json": _digest(report), "csv": _digest(table)} == GOLDEN[f"{name}:{command}"], flags
+    plain = runs["plain"]
+    assert runs["json-stdout"][1:3] == plain[1:3]
+    assert runs["csv-only"][2] == plain[2]
+    assert runs["json-only"][1] == plain[1]
+
+
+@pytest.mark.parametrize("flags", ["plain", "app-data"])
+def test_one_frame_chunks(flags, in_root, monkeypatch, capfd):
+    """Every chunk its own piece; with ``--app-data-only`` many pieces hold no row."""
+    name = "head"
+    reference = _run(in_root, monkeypatch, capfd, name, flags, 1, WHOLE)
+    rows = json.loads(reference[1])["body"]["packets"]
+    assert 0 < len(rows) <= _frames(in_root, name)
+    if flags == "app-data":
+        assert len(rows) < _frames(in_root, name)
+    for cpus in CPU_COUNTS:
+        assert _run(in_root, monkeypatch, capfd, name, flags, cpus, 1) == reference, cpus
+
+
+@pytest.mark.parametrize("flags", sorted(set(FLAG_SETS) - {"keylog"}))
+def test_capture_without_packets(flags, in_root, monkeypatch, capfd):
+    reference = _run(in_root, monkeypatch, capfd, "empty", flags, 1, WHOLE)
+    assert reference[0] == 0
+    if reference[1] is not None:
+        text = reference[1].decode()
+        assert json.loads(text)["body"]["packets"] == []
+        assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
+    if reference[2] is not None:
+        assert reference[2] == (",".join(FEATURE_COLUMNS) + "\r\n").encode()
+    for cpus in CPU_COUNTS:
+        for chunk in (1, 7):
+            assert _run(in_root, monkeypatch, capfd, "empty", flags, cpus, chunk) == reference
+
+
+def _record_children(monkeypatch) -> tuple[list[int], list[int]]:
+    """Record the pids that ``os.fork`` returns and ``os.waitpid`` reaps."""
+    forked: list[int] = []
+    reaped: list[int] = []
+    fork, waitpid = os.fork, os.waitpid
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def recording_waitpid(pid, options):
+        result = waitpid(pid, options)
+        reaped.append(result[0])
+        return result
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "waitpid", recording_waitpid)
+    return forked, reaped
+
+
+@pytest.mark.parametrize("cpus", CPU_COUNTS)
+def test_renderers_per_cpu_and_reaped_oldest_first(cpus, in_root, monkeypatch, capfd):
+    name = FIXTURE_NAMES[1]
+    chunks = -(-_frames(in_root, name) // 100)
+    alive: list[int] = []
+    forked, reaped = _record_children(monkeypatch)
+    real_fork = os.fork
+
+    def fork_counting_alive():
+        alive.append(len(forked) - len(reaped))
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork_counting_alive)
+    assert _run(in_root, monkeypatch, capfd, name, "plain", cpus, 100)[0] == 0
+    assert len(forked) == (chunks if cpus > 1 else 0)
+    assert reaped == forked
+    assert max(alive, default=0) == max(cpus - 2, 0)
+
+
+def test_without_fork_renders_inline(in_root, monkeypatch, capfd):
+    name = FIXTURE_NAMES[0]
+    reference = _run(in_root, monkeypatch, capfd, name, "plain", 1, WHOLE)
+    monkeypatch.delattr(os, "fork")
+    assert _run(in_root, monkeypatch, capfd, name, "plain", 3, 7) == reference
+
+
+@pytest.mark.parametrize("cpus", CPU_COUNTS)
+def test_renderer_failure_exits_2_and_leaves_no_child(cpus, in_root, monkeypatch, capfd):
+    """Every chunk but the first fails to render."""
+    capture = _paths(FIXTURE_NAMES[1])[0]
+    first_ts = decode_stream(read_capture((in_root / capture).read_bytes()))[0].ts_ns
+    feature_rows = cli.feature_rows
+
+    def failing(packets):
+        if packets and packets[0].record.ts_ns > first_ts:
+            raise RuntimeError("renderer broke")
+        return feature_rows(packets)
+
+    monkeypatch.setattr(cli, "feature_rows", failing)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "_CHUNK_FRAMES", 7)
+    code = main(["analyze", capture, "--json", "fail.json", "--csv", "fail.csv"])
+    assert_no_child_left()
+    out, err = capfd.readouterr()
+    assert code == 2
+    assert err == "appcap: cannot render the packet table: renderer broke\n"
+    assert out == ""
+    assert not (in_root / "fail.json").exists()
+    assert not (in_root / "fail.csv").exists()
+
+
+@pytest.mark.parametrize("cpus", CPU_COUNTS)
+def test_unusable_temporary_directory_exits_2(cpus, in_root, monkeypatch, capfd):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    with monkeypatch.context() as patch:  # capfd needs a temporary directory on teardown
+        patch.setattr(tempfile, "tempdir", str(in_root / "no-such-directory"))
+        code = main(["analyze", _paths(FIXTURE_NAMES[0])[0], "--csv", "tmp.csv"])
+    assert_no_child_left()
+    out, err = capfd.readouterr()
+    assert code == 2
+    assert err.startswith("appcap: ") and err.count("\n") == 1
+    assert "no-such-directory" in err
+    assert out == ""
+
+
+@pytest.fixture(scope="module")
+def broken_captures(corpus_root, tmp_path_factory):
+    """A capture cut inside its last record, one of link type 228, and the
+    message each gives."""
+    root = tmp_path_factory.mktemp("broken")
+    data = (corpus_root / _paths(FIXTURE_NAMES[1])[0]).read_bytes()
+    frames = len(read_capture(data).offsets)
+    (root / "cut.pcap").write_bytes(data[:-5])
+    (root / "relinked.pcap").write_bytes(data[:20] + (228).to_bytes(4, "little") + data[24:])
+    return {
+        root / "cut.pcap": f"appcap: cannot parse capture: frame record truncated after {frames - 1} frames\n",
+        root / "relinked.pcap": "appcap: cannot parse capture: unsupported link type 228\n",
+    }
+
+
+@pytest.mark.parametrize("cpus", CPU_COUNTS)
+def test_capture_errors_exit_3(cpus, broken_captures, in_root, monkeypatch, capfd):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "_CHUNK_FRAMES", 7)
+    for capture, message in broken_captures.items():
+        code = main(["analyze", str(capture), "--json", "broken.json", "--csv", "broken.csv"])
+        assert_no_child_left()
+        assert (code, capfd.readouterr()) == (3, ("", message))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_gc_state_is_restored(enabled, in_root, capfd):
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert main(["analyze", _paths(FIXTURE_NAMES[0])[0], "--json", "gc.json"]) == 0
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_analyze_leaves_no_cycles_beyond_its_parser(in_root, capfd):
+    """A collection after ``analyze`` finds only the argument parser's cycles,
+    however many packets the capture holds."""
+    found = {}
+    was = gc.isenabled()
+    gc.disable()  # no automatic collection in between
+    try:
+        gc.collect()
+        for name in FIXTURE_NAMES[:2]:
+            argv = ["analyze", _paths(name)[0], "--keylog", _paths(name)[1], "--json", "gc.json", "--csv", "gc.csv"]
+            cli.build_parser().parse_args(argv)
+            parser_only = gc.collect()
+            assert main(argv) == 0
+            found[name] = (gc.collect(), parser_only)
+    finally:
+        if was:
+            gc.enable()
+    assert _frames(in_root, FIXTURE_NAMES[1]) > 1.5 * _frames(in_root, FIXTURE_NAMES[0])
+    assert found[FIXTURE_NAMES[0]] == found[FIXTURE_NAMES[1]]
+    assert found[FIXTURE_NAMES[0]][0] == found[FIXTURE_NAMES[0]][1]

@@ -337,6 +337,15 @@ class TestFlowMechanics:
                         payload=b"y")
         assert FlowKey.from_record(fwd) == FlowKey.from_record(rev)
 
+    def test_flow_key_is_a_checked_tuple(self):
+        key = FlowKey.from_record(mk_record(payload=b"x"))
+        assert type(key).__hash__ is tuple.__hash__ and type(key).__eq__ is tuple.__eq__
+        assert key == tuple(key) and hash(key) == hash(tuple(key))
+        with pytest.raises(ValueError):
+            FlowKey(key.endpoint_hi, key.endpoint_lo, key.transport)
+        with pytest.raises(ValueError):
+            key._replace(endpoint_lo=("255.255.255.255", 65535))
+
     def test_interleaving_preserves_labels(self):
         flow_a = tls13_packets(n_app=4, src_port=40001)
         flow_b = [

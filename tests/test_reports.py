@@ -1,8 +1,9 @@
 """Byte identity of the report writers with the standard library's output.
 
 ``write_envelope`` must write exactly ``json.dumps(envelope, indent=2,
-sort_keys=True) + "\\n"`` and ``write_feature_csv`` exactly what
-``csv.DictWriter`` writes, for every tree and row the CLI can produce.
+sort_keys=True) + "\\n"``, with a ``PacketTable`` written as the rows it
+holds, and ``write_table_csv`` exactly what ``csv.DictWriter`` writes, for
+every tree and row the CLI can produce.
 """
 
 import csv
@@ -10,6 +11,7 @@ import enum
 import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -23,10 +25,12 @@ from appcap.cli import main
 from appcap.ingest import Transport
 from appcap.reports import (
     FEATURE_COLUMNS,
-    FeatureRows,
+    PacketTable,
     describe_packet,
     write_envelope,
     write_feature_csv,
+    write_feature_json,
+    write_table_csv,
 )
 from appcap.synth import build_dns_query, build_dns_response
 
@@ -140,11 +144,30 @@ def nest(table, path):
     return table
 
 
+def json_table(pieces) -> PacketTable:
+    """A table whose JSON pieces hold ``pieces``' rows, one piece each."""
+    files = []
+    for rows in pieces:
+        files.append(io.BytesIO())
+        write_feature_json(rows, files[-1])
+    return PacketTable(files)
+
+
+# ``analyze`` puts its table two levels deep, as ``body.packets``.
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.lists(feature_row, max_size=4), st.lists(st.sampled_from(["dict", "list"]), max_size=4))
-def test_feature_table_equals_json_dumps_of_row_dicts(rows, path):
-    as_dicts = [dict(zip(FEATURE_COLUMNS, row)) for row in rows]
-    assert_same_text(written_text(nest(FeatureRows(rows), path)), expected_text(nest(as_dicts, path)))
+@given(
+    st.lists(st.lists(feature_row, max_size=3), max_size=4),
+    st.lists(st.sampled_from(["dict", "list"]), min_size=2, max_size=2),
+)
+def test_feature_table_equals_json_dumps_of_row_dicts(pieces, path):
+    as_dicts = [dict(zip(FEATURE_COLUMNS, row)) for rows in pieces for row in rows]
+    assert_same_text(written_text(nest(json_table(pieces), path)), expected_text(nest(as_dicts, path)))
+
+
+@pytest.mark.parametrize("depth", [0, 1, 3])
+def test_feature_table_renders_only_as_body_packets(depth):
+    with pytest.raises(ValueError):
+        written_text(nest(json_table([[(1, "a", 2, "b", 3, "TCP", "TLS", "", True, 60)]]), ["dict"] * depth))
 
 
 def dict_writer_text(rows) -> str:
@@ -173,9 +196,14 @@ def test_feature_csv_equals_dict_writer(tmp_path):
         {**dict.fromkeys(FEATURE_COLUMNS, None), "app_data": False, "info": "é"},
     ]
     path = tmp_path / "rows.csv"
-    write_feature_csv([tuple(row[column] for column in FEATURE_COLUMNS) for row in rows], path)
+    pieces = [tempfile.TemporaryFile() for _ in range(3)]
+    for piece, row in zip(pieces, [[], rows[:1], rows[1:]]):
+        write_feature_csv([tuple(r[column] for column in FEATURE_COLUMNS) for r in row], piece)
+    write_table_csv(PacketTable(csv_pieces=pieces), path)
     with path.open(newline="") as fh:
         assert_same_text(fh.read(), dict_writer_text(rows))
+    for piece in pieces:
+        piece.close()
 
 
 @pytest.fixture(scope="module")
