@@ -106,6 +106,7 @@ _HTTP = AppProtocol(ProtoTag.HTTP)
 _QUIC = AppProtocol(ProtoTag.QUIC)
 _OTHER_TCP = AppProtocol(ProtoTag.OTHER_TCP)
 _OTHER_UDP = AppProtocol(ProtoTag.OTHER_UDP)
+_TCP = Transport.TCP
 
 
 class _FlowKeyFields(NamedTuple):
@@ -202,6 +203,13 @@ class QuicInfo:
 
 # Short headers carry no version or type, so one instance serves them all.
 _SHORT_HEADER = QuicInfo(long_header=False)
+# Likewise one per long header, keyed by version and type bits; a version
+# negotiation (0) has no type, and v1 and the drafts share one numbering.
+_LONG_HEADERS = {
+    (v, bits << 4): QuicInfo(True, v, None if v == 0 else _QUIC_V2_TYPES[bits] if v == QUIC_V2 else bits)
+    for v in _QUIC_KNOWN_VERSIONS | {0}
+    for bits in range(4)
+}
 _U32 = struct.Struct(">I")
 
 
@@ -218,16 +226,7 @@ def detect_quic(payload: bytes, quic_seen: bool = False) -> QuicInfo | None:
     if b0 & 0x80:
         if not b0 & 0x40 or len(payload) < 7:
             return None
-        version = _U32.unpack_from(payload, 1)[0]
-        if version == 0:
-            return QuicInfo(long_header=True, version=0)
-        if version not in _QUIC_KNOWN_VERSIONS:
-            return None
-        # v1 and the drafts share the Initial/0-RTT/Handshake/Retry layout.
-        packet_type = (b0 & 0x30) >> 4
-        if version == QUIC_V2:
-            packet_type = _QUIC_V2_TYPES[packet_type]
-        return QuicInfo(long_header=True, version=version, long_packet_type=packet_type)
+        return _LONG_HEADERS.get((_U32.unpack_from(payload, 1)[0], b0 & 0x30))
     if quic_seen and b0 & 0x40:
         return _SHORT_HEADER
     return None
@@ -240,7 +239,7 @@ def dns_message(payload: bytes, transport: Transport) -> bytes | None:
     header with QDCOUNT >= 1 or the QR response bit set.
     """
     msg = payload
-    if transport is Transport.TCP:
+    if transport is _TCP:
         if len(payload) < 14:
             return None
         msg = payload[2:]
@@ -291,16 +290,16 @@ class FlowTable:
         self._directions: dict[tuple, tuple[FlowKey, FlowState, tuple[str, int]]] = {}
 
     def classify(self, record: PacketRecord) -> ClassifiedPacket:
-        is_tcp = record.transport is Transport.TCP
-        direction = (record.src_ip, record.src_port, record.dst_ip, record.dst_port, is_tcp)
+        _, _, src_ip, dst_ip, src_port, dst_port, transport, _, payload, _, truncated = record
+        is_tcp = transport is _TCP
+        direction = (src_ip, src_port, dst_ip, dst_port, is_tcp)
         entry = self._directions.get(direction)
         if entry is None:
             key = FlowKey.from_record(record)
             state = self.states.setdefault(key, FlowState())
-            entry = self._directions[direction] = (key, state, (record.src_ip, record.src_port))
+            entry = self._directions[direction] = (key, state, (src_ip, src_port))
         key, state, sender = entry
-        payload = record.payload
-        ports = (record.src_port, record.dst_port)
+        ports = (src_port, dst_port)
         is_dot_port = is_tcp and DOT_PORT in ports
 
         if not payload:
@@ -318,7 +317,7 @@ class FlowTable:
         tls_detail = None
         if is_tcp:
             tls_ok, records, partial_app_data, tls_detail = _ingest_tls(
-                state, sender, payload, record.payload_truncated
+                state, sender, payload, truncated
             )
             has_app_record = _absorb_records(state, records) or partial_app_data
 
@@ -330,7 +329,7 @@ class FlowTable:
             is_app_data = has_app_record
             detail = tls_detail
             state.tls_seen = True
-        elif DNS_PORT in ports and (msg := dns_message(payload, record.transport)) is not None:
+        elif DNS_PORT in ports and (msg := dns_message(payload, transport)) is not None:
             protocol = _DO53
             is_app_data = True
             detail = msg

@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import gc
 import json
+import math
 import os
 import signal
 import sys
@@ -41,9 +42,12 @@ from .dataset import (
     ManifestEntry,
     attribute_background,
     scan_directory,
-    truncate_packets,
+    # Not called; kept so that bench/tracer.py, which wraps what this module
+    # imports, still finds the boundary dataset.truncate_s is read off.
+    truncate_packets,  # noqa: F401
+    truncation_cutoff,
 )
-from .ingest import CaptureError, CaptureStream, decode_stream, read_capture
+from .ingest import CaptureError, CaptureStream, PacketRecord, decode_stream, read_capture
 from .keylog import key_coverage, read_keylog
 from .reports import (
     PacketTable,
@@ -92,11 +96,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be > 0")
-    return value
+def _duration(ns_per_unit: int):
+    """Argument type of a duration in ``ns_per_unit`` ns: finite, and at least 1 ns."""
+
+    def duration(text: str) -> float:
+        value = float(text)
+        if not 1 <= value * ns_per_unit < math.inf:  # NaN fails both tests
+            raise argparse.ArgumentTypeError("must be a finite number of at least 1 ns")
+        return value
+
+    return duration
 
 
 def build_parser() -> _Parser:
@@ -107,7 +116,7 @@ def build_parser() -> _Parser:
     analyze.add_argument("capture", type=Path)
     analyze.add_argument("--keylog", type=Path, help="paired SSL key log for coverage")
     analyze.add_argument("--app-data-only", action="store_true")
-    analyze.add_argument("--bins", type=_positive_float, default=10.0, metavar="SECONDS")
+    analyze.add_argument("--bins", type=_duration(1_000_000_000), default=10.0, metavar="SECONDS")
     _output_flags(analyze)
     analyze.set_defaults(func=cmd_analyze)
 
@@ -119,7 +128,7 @@ def build_parser() -> _Parser:
     scan.set_defaults(func=cmd_dataset_scan)
     stats = dsub.add_parser("stats", help="per-app rates and dataset distribution")
     stats.add_argument("directory", type=Path)
-    stats.add_argument("--truncate-min", type=_positive_float, metavar="MINUTES")
+    stats.add_argument("--truncate-min", type=_duration(60 * 1_000_000_000), metavar="MINUTES")
     stats.add_argument("--app-data-only", action="store_true")
     _output_flags(stats)
     stats.set_defaults(func=cmd_dataset_stats)
@@ -127,7 +136,7 @@ def build_parser() -> _Parser:
     compare = sub.add_parser("compare", help="cross-dataset comparison report")
     compare.add_argument("dir_a", type=Path)
     compare.add_argument("dir_b", type=Path)
-    compare.add_argument("--truncate-min", type=_positive_float, metavar="MINUTES")
+    compare.add_argument("--truncate-min", type=_duration(60 * 1_000_000_000), metavar="MINUTES")
     compare.add_argument(
         "--common-only",
         action="store_true",
@@ -144,7 +153,7 @@ def build_parser() -> _Parser:
 
     baseline = sub.add_parser("baseline", help="background-traffic attribution")
     baseline.add_argument("capture", type=Path)
-    baseline.add_argument("--bins", type=_positive_float, default=10.0, metavar="SECONDS")
+    baseline.add_argument("--bins", type=_duration(1_000_000_000), default=10.0, metavar="SECONDS")
     _output_flags(baseline, csv=False)
     baseline.set_defaults(func=cmd_baseline)
 
@@ -243,13 +252,44 @@ def _classify_file(path: Path) -> tuple[list[ClassifiedPacket], FlowTable, str]:
 
 
 def _capture_tally(path: Path, truncate_min: float | None) -> tuple[Tally, str]:
-    """One capture classified, truncated when asked and reduced to its tally,
-    with its digest. Runs in a pool worker, so it takes and returns only
-    small picklable values."""
-    classified, _, digest = _classify_file(path)
-    if truncate_min is not None:
-        classified = truncate_packets(classified, truncate_min)
+    """One capture's tally (with ``truncate_min``, of the packets that
+    ``truncate_packets`` keeps) and digest, built without a packet list. Runs
+    in a pool worker, so it takes and returns only small picklable values."""
+    stream, digest = _read_file(path)
+    if truncate_min is None:
+        records, cutoff = decode_stream(stream), None
+    else:
+        records, cutoff = _records_to_cutoff(stream, truncate_min)
+    del stream  # the file's bytes, freed before the records are classified
+    classified = map(FlowTable().classify, records)
+    if cutoff is not None:
+        classified = (cp for cp in classified if cp.record.ts_ns < cutoff)
     return tally(classified), digest
+
+
+def _records_to_cutoff(stream: CaptureStream, minutes: float) -> tuple[list[PacketRecord], int]:
+    """The records, in capture order, up to the last one before the cutoff
+    (the earliest record + ``minutes``, half-open), and the cutoff.
+
+    The first record + ``minutes`` bounds the cutoff from above, so the
+    frames at the tail whose record headers are at or past that bound are
+    not decoded: none is counted, and none precedes a counted packet, so
+    none can change how one is classified.
+    """
+    offsets = stream.offsets
+    first, records = 0, []
+    while not records and first < len(offsets):
+        records = decode_stream(dataclasses.replace(stream, offsets=offsets[first : first + 1]))
+        first += 1
+    if not records:
+        return records, 0
+    end = stream.frames_before(truncation_cutoff(records[0].ts_ns, minutes), first)
+    records += decode_stream(dataclasses.replace(stream, offsets=offsets[first:end]))
+    cutoff = truncation_cutoff(min(r.ts_ns for r in records), minutes)
+    last = len(records)
+    while last and records[last - 1].ts_ns >= cutoff:
+        last -= 1
+    return records[:last], cutoff
 
 
 def _usable_cpus() -> int:
@@ -438,9 +478,7 @@ def _print_distribution(dist) -> None:
 
 
 def cmd_dataset_scan(args) -> int:
-    if not args.directory.is_dir():
-        raise _DomainError(f"not a dataset directory: {args.directory}")
-    manifest = scan_directory(args.directory)
+    manifest = _scan_dataset(args.directory)
     envelope = make_envelope("dataset-scan", [], {"manifest": manifest_json(manifest)})
     _emit(args, envelope)
     if args.json_path is None:

@@ -83,7 +83,8 @@ def parse_capture_stem(stem: str) -> CaptureLabel:
         raise BadDate(str(exc)) from exc
     if date.strftime(DATE_FORMAT) != date_text:
         raise BadDate(f"date field {date_text!r} does not round-trip {DATE_FORMAT!r}")
-    if not duration_text.isdigit():
+    # ASCII only: str.isdigit also takes digits like "²" and "١".
+    if not (duration_text.isascii() and duration_text.isdigit()):
         raise BadDuration(f"duration field {duration_text!r} is not a positive integer")
     duration = int(duration_text)
     if duration < 1:
@@ -168,8 +169,12 @@ def truncate_packets(
     if stamps != sorted(stamps):
         ordered.sort(key=lambda cp: cp.record.ts_ns)
         stamps.sort()
-    cutoff = stamps[0] + int(minutes * 60 * 1_000_000_000)
-    return ordered[: bisect.bisect_left(stamps, cutoff)]
+    return ordered[: bisect.bisect_left(stamps, truncation_cutoff(stamps[0], minutes))]
+
+
+def truncation_cutoff(first_ns: int, minutes: float) -> int:
+    """The end of the first ``minutes`` from ``first_ns``; packets before it are kept."""
+    return first_ns + int(minutes * 60 * 1_000_000_000)
 
 
 class BackgroundKind(enum.Enum):

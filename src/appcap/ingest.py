@@ -28,7 +28,6 @@ RECORD_HEADER_LEN = 16
 LINKTYPE_ETHERNET = 1
 LINKTYPE_SLL = 113
 LINKTYPE_SLL2 = 276
-SUPPORTED_LINKTYPES = frozenset({LINKTYPE_ETHERNET, LINKTYPE_SLL, LINKTYPE_SLL2})
 
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_IPV6 = 0x86DD
@@ -41,8 +40,8 @@ _RECORD_HEADER = {"<": struct.Struct("<IIII"), ">": struct.Struct(">IIII")}
 # A record header's captured length (incl_len), read at its offset + 8.
 _INCL_LEN = {"<": struct.Struct("<I"), ">": struct.Struct(">I")}
 _U16 = struct.Struct(">H")
-# IPv4 total length and flags/fragment offset, read at the header's offset + 2.
-_IPV4_LEN_FRAG = struct.Struct(">H2xH")
+# The fixed IPv4 header's version/IHL, length, fragment field, protocol, addresses.
+_IPV4_HEADER = struct.Struct(">BxH2xHxB2x4s4s")
 _PORTS = struct.Struct(">HH")
 _UDP_HEADER = struct.Struct(">HHH")
 
@@ -180,6 +179,19 @@ class CaptureStream:
             )
         return tuple(frames)
 
+    def frames_before(self, bound_ns: int, start: int = 0) -> int:
+        """One past the last frame from ``start`` on whose record header is
+        stamped before ``bound_ns`` (``start`` if none is), read from the end."""
+        unpack_record = _RECORD_HEADER[_ENDIAN[self.byte_order]].unpack_from
+        scale = _SUBSEC_SCALE[self.ts_resolution]
+        end = len(self.offsets)
+        while end > start:
+            ts_sec, ts_sub, _, _ = unpack_record(self.data, self.offsets[end - 1])
+            if ts_sec * 1_000_000_000 + ts_sub * scale < bound_ns:
+                break
+            end -= 1
+        return end
+
 
 class _PacketRecordFields(NamedTuple):
     ts_ns: int
@@ -220,7 +232,7 @@ class PacketRecord(_PacketRecordFields):
         tcp_flags: int | None = None,
         payload_truncated: bool = False,
     ):
-        if (tcp_flags is not None) != (transport is Transport.TCP):
+        if (tcp_flags is not None) != (transport is _TCP):
             raise ValueError("tcp_flags present iff transport is TCP")
         if len(payload) > packet_len:
             raise ValueError("payload longer than packet_len")
@@ -305,6 +317,9 @@ _LINK_HEADERS = {
 _NON_IP = Skip(SkipReason.NON_IP)
 _OTHER_IP_PROTOCOL = Skip(SkipReason.OTHER_IP_PROTOCOL)
 _FRAGMENT = Skip(SkipReason.FRAGMENT)
+# Per-frame code reads these globals: an enum member lookup costs far more.
+_TCP = Transport.TCP
+_UDP = Transport.UDP
 
 
 def _link_header(linktype_id: int) -> tuple[str, int, int]:
@@ -321,20 +336,15 @@ def decode_frame(frame: RawFrame, linktype_id: int) -> PacketRecord | Skip:
     and MalformedHeader when an IP/transport header is shorter than its
     minimum length (including snaplen cuts through headers).
     """
-    return _decode(
-        frame.frame_bytes,
-        0,
-        frame.captured_len,
-        _link_header(linktype_id),
-        frame.ts_ns,
-        frame.original_len,
-    )
+    link = _link_header(linktype_id)
+    return _decode(frame.frame_bytes, 0, frame.captured_len, link, frame.ts_ns, frame.original_len)
 
 
 def _decode(
     data: bytes, start: int, end: int, link: tuple[str, int, int], ts_ns: int, packet_len: int
 ) -> PacketRecord | Skip:
-    """Decode the frame held in ``data[start:end]``; nothing past ``end`` is read."""
+    """Decode the link, IP and transport headers of the frame held in
+    ``data[start:end]``; nothing past ``end`` is read."""
     name, type_at, offset = link
     offset += start
     if offset > end:
@@ -350,40 +360,72 @@ def _decode(
         if ethertype == ETHERTYPE_VLAN:
             return _NON_IP
 
+    # Each IP branch finds the transport protocol, start and declared end.
     if ethertype == ETHERTYPE_IPV4:
-        return _decode_ipv4(data, offset, end, ts_ns, packet_len)
-    if ethertype == ETHERTYPE_IPV6:
-        return _decode_ipv6(data, offset, end, ts_ns, packet_len)
-    return _NON_IP
-
-
-def _decode_ipv4(
-    data: bytes, start: int, end: int, ts_ns: int, packet_len: int
-) -> PacketRecord | Skip:
-    if start + 20 > end:
-        raise MalformedHeader("ipv4 header short")
-    vihl = data[start]
-    if vihl >> 4 != 4:
-        raise MalformedHeader("ipv4 version mismatch")
-    ihl = (vihl & 0x0F) * 4
-    if ihl < 20:
-        raise MalformedHeader("ipv4 IHL below minimum")
-    if start + ihl > end:
-        raise MalformedHeader("ipv4 options truncated")
-    total_len, fragment = _IPV4_LEN_FRAG.unpack_from(data, start + 2)
-    if total_len < ihl:
-        raise MalformedHeader("ipv4 total length below header length")
-    if fragment & 0x1FFF:
-        return _FRAGMENT
-    proto = data[start + 9]
-    src = address_text(data[start + 12 : start + 16])
-    dst = address_text(data[start + 16 : start + 20])
-    # Honor total_length so link-layer padding never leaks into the payload;
+        if offset + 20 > end:
+            raise MalformedHeader("ipv4 header short")
+        vihl, total_len, fragment, proto, src, dst = _IPV4_HEADER.unpack_from(data, offset)
+        if vihl >> 4 != 4:
+            raise MalformedHeader("ipv4 version mismatch")
+        ihl = (vihl & 0x0F) * 4
+        if ihl < 20:
+            raise MalformedHeader("ipv4 IHL below minimum")
+        l4_start = offset + ihl
+        if l4_start > end:
+            raise MalformedHeader("ipv4 options truncated")
+        if total_len < ihl:
+            raise MalformedHeader("ipv4 total length below header length")
+        if fragment & 0x1FFF:
+            return _FRAGMENT
+        ip_version = 4
+        l4_end = offset + total_len
+    elif ethertype == ETHERTYPE_IPV6:
+        if offset + 40 > end:
+            raise MalformedHeader("ipv6 header short")
+        if data[offset] >> 4 != 6:
+            raise MalformedHeader("ipv6 version mismatch")
+        l4_end = offset + 40 + _U16.unpack_from(data, offset + 4)[0]
+        src = data[offset + 8 : offset + 24]
+        dst = data[offset + 24 : offset + 40]
+        walked = _ipv6_transport(data, offset + 40, end, data[offset + 6])
+        if isinstance(walked, Skip):
+            return walked
+        proto, l4_start = walked
+        ip_version = 6
+    else:
+        return _NON_IP
+    l4_declared = l4_end - l4_start
+    # Honor the IP length so link-layer padding never leaks into the payload;
     # clamp to what was actually captured.
-    l4_end = min(end, start + total_len)
-    return _decode_transport(
-        proto, src, dst, 4, data, start + ihl, l4_end, total_len - ihl, ts_ns, packet_len
-    )
+    if l4_end > end:
+        l4_end = end
+    l4_len = l4_end - l4_start
+
+    if proto == IPPROTO_TCP:
+        if l4_len < 20:
+            raise MalformedHeader("tcp header short")
+        header_len = (data[l4_start + 12] >> 4) * 4
+        if header_len < 20 or l4_len < header_len:
+            raise MalformedHeader("tcp header short")
+        src_port, dst_port = _PORTS.unpack_from(data, l4_start)
+        payload = data[l4_start + header_len : l4_end]
+        return PacketRecord(
+            ts_ns, ip_version, address_text(src), address_text(dst), src_port, dst_port, _TCP,
+            packet_len, payload, data[l4_start + 13], len(payload) < l4_declared - header_len,
+        )
+    if proto == IPPROTO_UDP:
+        if l4_len < 8:
+            raise MalformedHeader("udp header short")
+        src_port, dst_port, udp_len = _UDP_HEADER.unpack_from(data, l4_start)
+        if udp_len < 8:
+            raise MalformedHeader("udp length below minimum")
+        udp_end = l4_start + udp_len
+        payload = data[l4_start + 8 : udp_end if udp_end < l4_end else l4_end]
+        return PacketRecord(
+            ts_ns, ip_version, address_text(src), address_text(dst), src_port, dst_port, _UDP,
+            packet_len, payload, None, len(payload) < udp_len - 8,
+        )
+    return _OTHER_IP_PROTOCOL
 
 
 # IPv6 extension headers we can walk through (8-byte-multiple TLV shape).
@@ -392,27 +434,12 @@ _V6_FRAGMENT = 44
 _V6_AH = 51
 
 
-def _decode_ipv6(
-    data: bytes, start: int, end: int, ts_ns: int, packet_len: int
-) -> PacketRecord | Skip:
-    if start + 40 > end:
-        raise MalformedHeader("ipv6 header short")
-    if data[start] >> 4 != 6:
-        raise MalformedHeader("ipv6 version mismatch")
-    payload_len = _U16.unpack_from(data, start + 4)[0]
-    next_header = data[start + 6]
-    src = address_text(data[start + 8 : start + 24])
-    dst = address_text(data[start + 24 : start + 40])
-    declared_end = start + 40 + payload_len
-    l4_end = min(end, declared_end)
-    offset = start + 40
-
+def _ipv6_transport(data: bytes, offset: int, end: int, next_header: int) -> tuple[int, int] | Skip:
+    """Walk IPv6 extension headers from ``offset`` to a TCP or UDP header's
+    protocol number and offset, or to the Skip for anything else."""
     for _ in range(8):
         if next_header in (IPPROTO_TCP, IPPROTO_UDP):
-            return _decode_transport(
-                next_header, src, dst, 6, data, offset, l4_end, declared_end - offset,
-                ts_ns, packet_len,
-            )
+            return next_header, offset
         if next_header == _V6_FRAGMENT:
             if offset + 8 > end:
                 raise MalformedHeader("ipv6 fragment header truncated")
@@ -439,48 +466,6 @@ def _decode_ipv6(
             offset += ext_len
         else:
             return _OTHER_IP_PROTOCOL
-    return _OTHER_IP_PROTOCOL
-
-
-def _decode_transport(
-    proto: int,
-    src: str,
-    dst: str,
-    ip_version: int,
-    data: bytes,
-    l4_start: int,
-    l4_end: int,
-    l4_declared: int,
-    ts_ns: int,
-    packet_len: int,
-) -> PacketRecord | Skip:
-    """Decode the TCP or UDP header in ``data[l4_start:l4_end]`` (as captured)."""
-    l4_len = l4_end - l4_start
-    if proto == IPPROTO_TCP:
-        if l4_len < 20:
-            raise MalformedHeader("tcp header short")
-        header_len = (data[l4_start + 12] >> 4) * 4
-        if header_len < 20 or l4_len < header_len:
-            raise MalformedHeader("tcp header short")
-        src_port, dst_port = _PORTS.unpack_from(data, l4_start)
-        payload = data[l4_start + header_len : l4_end]
-        declared_payload = max(l4_declared - header_len, 0)
-        return PacketRecord(
-            ts_ns, ip_version, src, dst, src_port, dst_port, Transport.TCP, packet_len,
-            payload, data[l4_start + 13], len(payload) < declared_payload,
-        )
-    if proto == IPPROTO_UDP:
-        if l4_len < 8:
-            raise MalformedHeader("udp header short")
-        src_port, dst_port, udp_len = _UDP_HEADER.unpack_from(data, l4_start)
-        if udp_len < 8:
-            raise MalformedHeader("udp length below minimum")
-        declared_payload = udp_len - 8
-        payload = data[l4_start + 8 : min(l4_end, l4_start + udp_len)]
-        return PacketRecord(
-            ts_ns, ip_version, src, dst, src_port, dst_port, Transport.UDP, packet_len,
-            payload, None, len(payload) < declared_payload,
-        )
     return _OTHER_IP_PROTOCOL
 
 
@@ -514,21 +499,16 @@ def decode_stream(stream: CaptureStream, summary: DecodeSummary | None = None) -
         # Read as ``CaptureStream.frames`` reads it, original_len included.
         ts_sec, ts_sub, incl_len, orig_len = unpack_record(data, offset)
         start = offset + RECORD_HEADER_LEN
+        ts_ns = ts_sec * 1_000_000_000 + ts_sub * scale
+        packet_len = orig_len if orig_len > incl_len else incl_len
         try:
-            outcome = _decode(
-                data,
-                start,
-                start + incl_len,
-                link,
-                ts_sec * 1_000_000_000 + ts_sub * scale,
-                max(orig_len, incl_len),
-            )
+            outcome = _decode(data, start, start + incl_len, link, ts_ns, packet_len)
         except MalformedHeader:
             summary.malformed += 1
             continue
-        if isinstance(outcome, Skip):
-            skipped[outcome.reason] = skipped.get(outcome.reason, 0) + 1
-        else:
+        if outcome.__class__ is PacketRecord:
             append(outcome)
+        else:
+            skipped[outcome.reason] = skipped.get(outcome.reason, 0) + 1
     summary.records += len(records)
     return records

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from helpers import eth, ip4, pcap_file, tcp
+from helpers import PCAP_MAGIC_NS_LE, eth, ip4, pcap_file, tcp
 
 from appcap.cli import main
 from appcap.synth import build_http_204, build_http_get
@@ -118,6 +118,47 @@ class TestAnalyze:
         assert excinfo.value.code == 64
 
 
+class TestFlagValues:
+    """Flag values that cannot be used end in a usage error, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--bins", "nan"],
+            ["--bins", "inf"],
+            ["--bins", "-1"],
+            ["--bins", "1e-12"],  # rounds to a 0 ns bin width
+            ["--bins", "1e300"],  # overflows in nanoseconds
+        ],
+    )
+    @pytest.mark.parametrize("command", ["analyze", "baseline"])
+    def test_bad_bins_exit_64(self, background_dir, capsys, command, flags):
+        capture = next(background_dir.glob("*.pcap"))
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, str(capture), *flags])
+        assert excinfo.value.code == 64
+        assert "argument --bins" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "1e300"])
+    @pytest.mark.parametrize("command", ["stats", "compare"])
+    def test_bad_truncate_min_exit_64(self, background_dir, capsys, command, value):
+        argv = ["dataset", "stats", str(background_dir)] if command == "stats" else [
+            "compare", str(background_dir), str(background_dir)]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--truncate-min", value])
+        assert excinfo.value.code == 64
+        assert "argument --truncate-min" in capsys.readouterr().err
+
+    def test_one_ns_bins_accepted(self, tmp_path):
+        # Two HTTP packets 5 ns apart in a nanosecond capture: six 1 ns bins.
+        get = eth(ip4(tcp(build_http_get("example.com"), dport=80), proto=6))
+        capture = tmp_path / "ns.pcap"
+        capture.write_bytes(pcap_file([(1, 0, get), (1, 5, get)], magic=PCAP_MAGIC_NS_LE))
+        body = run_json(["analyze", str(capture), "--bins", "1e-9"], tmp_path)["body"]
+        assert body["histogram"]["bin_width_s"] == 1e-9
+        assert body["histogram"]["series"]["http"] == [1, 0, 0, 0, 0, 1]
+
+
 class TestDataset:
     def test_scan_reports_manifest(self, background_dir, tmp_path, schema):
         envelope = run_json(["dataset", "scan", str(background_dir)], tmp_path)
@@ -153,6 +194,19 @@ class TestDataset:
         manifest = envelope["body"]["manifest"]
         assert manifest["n_apps"] == 80
         assert manifest["n_entries"] == 320
+
+    def test_non_ascii_duration_listed_unparseable(self, background_dir, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        for path in background_dir.iterdir():
+            (data / path.name).write_bytes(path.read_bytes())
+        stray = data / "app_20250101T000000Z_\u00b2.pcap"
+        stray.write_bytes(b"")
+        for argv in (["dataset", "scan", str(data)], ["dataset", "stats", str(data)]):
+            manifest = run_json(argv, tmp_path)["body"]["manifest"]
+            assert manifest["unparseable"] == [str(stray)]
+            assert manifest["n_entries"] == 1
+        assert run_json(["compare", str(data), str(data)], tmp_path)["body"]["common_apps"]
 
     def test_truncate_halves_constant_rate(self, tmp_path):
         spec = {

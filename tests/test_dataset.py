@@ -63,6 +63,15 @@ class TestFilenameGrammar:
         with pytest.raises(BadDuration):
             parse_capture_filename("app_20250314T101500Z_0.pcap")
 
+    @pytest.mark.parametrize("duration", ["\u00b2", "\u0663", "\uff11\uff12", "1\u00b2"])
+    def test_non_ascii_duration_digits(self, duration):
+        # str.isdigit takes these, but none round-trips through render_capture_filename.
+        with pytest.raises(BadDuration):
+            parse_capture_filename(f"app_20250101T000000Z_{duration}.pcap")
+        manifest = scan_dataset([Path(f"d/app_20250101T000000Z_{duration}.pcap")])
+        assert manifest.entries == []
+        assert manifest.unparseable == [Path(f"d/app_20250101T000000Z_{duration}.pcap")]
+
     def test_impossible_date_rejected(self):
         with pytest.raises(BadDate):
             parse_capture_filename("app_20251399T257777Z_300.pcap")
