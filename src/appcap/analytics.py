@@ -83,6 +83,13 @@ _HIST_CATEGORY = {
 }
 
 
+MAX_BINS = 1_000_000  # each bin costs a list entry per series
+
+
+class TooManyBins(ValueError):
+    """More than ``MAX_BINS`` bins from the first packet to the last."""
+
+
 @dataclass
 class TemporalHistogram:
     bin_width_s: float
@@ -99,13 +106,17 @@ def temporal_histogram(
     bin_width_s: float = 10.0,
     app_data_only: bool = True,
 ) -> TemporalHistogram:
-    """Per-protocol packet counts binned from the first packet onward."""
+    """Per-protocol packet counts binned from the first packet onward;
+    ``TooManyBins``, before any series grows, if they need too many bins."""
     if bin_width_s <= 0:
         raise ValueError("bin_width_s must be positive")
     if not classified:
         return TemporalHistogram(bin_width_s=bin_width_s, t0_ns=None, series={})
     t0 = min(cp.record.ts_ns for cp in classified)
     width_ns = int(bin_width_s * NS_PER_SECOND)
+    n_bins = (max(cp.record.ts_ns for cp in classified) - t0) // width_ns + 1
+    if n_bins > MAX_BINS:
+        raise TooManyBins(f"a {bin_width_s:g} s bin width needs {n_bins:,} bins; the limit is {MAX_BINS:,}")
     series: dict[str, list[int]] = {}
     for cp in classified:
         if app_data_only and not cp.is_app_data:

@@ -101,6 +101,8 @@ _PROTOCOLS = {
     for tag in ProtoTag
     for version in (TlsVersion if tag in (ProtoTag.TLS, ProtoTag.DOT) else [None])
 }
+# Per-packet code reads enum members from module globals, not their class.
+_TLS_TAG, _DOT_TAG = ProtoTag.TLS, ProtoTag.DOT
 _DO53 = AppProtocol(ProtoTag.DO53)
 _HTTP = AppProtocol(ProtoTag.HTTP)
 _QUIC = AppProtocol(ProtoTag.QUIC)
@@ -306,7 +308,7 @@ class FlowTable:
             if state.last_protocol is not None:
                 protocol = state.last_protocol
             elif is_dot_port:
-                protocol = AppProtocol(ProtoTag.DOT, state.tls_version)
+                protocol = _PROTOCOLS[_DOT_TAG, state.tls_version]
                 state.tls_seen = True
             else:
                 protocol = _OTHER_TCP if is_tcp else _OTHER_UDP
@@ -325,7 +327,7 @@ class FlowTable:
         is_app_data: bool
         detail = None
         if is_dot_port:
-            protocol = AppProtocol(ProtoTag.DOT, state.tls_version)
+            protocol = _PROTOCOLS[_DOT_TAG, state.tls_version]
             is_app_data = has_app_record
             detail = tls_detail
             state.tls_seen = True
@@ -334,14 +336,14 @@ class FlowTable:
             is_app_data = True
             detail = msg
         elif is_tcp and tls_ok:
-            protocol = AppProtocol(ProtoTag.TLS, state.tls_version)
+            protocol = _PROTOCOLS[_TLS_TAG, state.tls_version]
             is_app_data = has_app_record
             detail = tls_detail
             state.tls_seen = True
         elif (
             is_tcp
             and state.last_protocol is not None
-            and state.last_protocol.tag in (ProtoTag.TLS, ProtoTag.DOT)
+            and state.last_protocol.tag in (_TLS_TAG, _DOT_TAG)
         ):
             # Desynchronized tail of an established TLS flow: keep the tag,
             # treat the unparseable bytes as unknown (non-app) data.

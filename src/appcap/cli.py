@@ -3,8 +3,8 @@ baseline and synth.
 
 Exit codes: 0 success, 2 I/O problems, 3 domain problems (unparseable
 capture, empty dataset, no common apps), 64 usage errors including invalid
-fixture specs. Relative --json/--csv paths resolve against $APPCAP_OUTPUT_DIR
-when it is set.
+fixture specs and a --bins width that gives too many bins. Relative
+--json/--csv paths resolve against $APPCAP_OUTPUT_DIR when it is set.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .analytics import (
     NoCommonApps,
     Scope,
     Tally,
+    TooManyBins,
     compare_datasets,
     flow_graph,
     mean_ppm_per_app,
@@ -41,11 +42,13 @@ from .dataset import (
     DatasetManifest,
     ManifestEntry,
     attribute_background,
+    map_on_cpus,
     scan_directory,
     # Not called; kept so that bench/tracer.py, which wraps what this module
     # imports, still finds the boundary dataset.truncate_s is read off.
     truncate_packets,  # noqa: F401
     truncation_cutoff,
+    usable_cpus,
 )
 from .ingest import CaptureError, CaptureStream, PacketRecord, decode_stream, read_capture
 from .keylog import key_coverage, read_keylog
@@ -204,7 +207,7 @@ def _run(args) -> int:
     except _DomainError as exc:
         print(f"appcap: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except _UsageError as exc:
+    except (_UsageError, TooManyBins) as exc:
         print(f"appcap: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, _RenderError) as exc:
@@ -292,12 +295,6 @@ def _records_to_cutoff(stream: CaptureStream, minutes: float) -> tuple[list[Pack
     return records[:last], cutoff
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on; ``taskset`` narrows them."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity is not None else 1
-
-
 def _scan_dataset(directory: Path) -> DatasetManifest:
     if not directory.is_dir():
         raise _DomainError(f"not a dataset directory: {directory}")
@@ -308,32 +305,9 @@ def _fold_captures(
     entries: list[ManifestEntry], truncate_min: float | None
 ) -> tuple[list[tuple[CaptureLabel, Tally]], dict[Path, str]]:
     """Each capture reduced to its tally, in the order of ``entries``, and
-    the digest of each capture file.
-
-    The captures are folded on every usable CPU, one worker per capture at
-    most. Results come back in entry order, so reports equal a serial run's
-    byte for byte, and the first failing capture in that order raises its
-    error. With one worker no pool is made.
-    """
+    the digest of each capture file, folded by ``dataset.map_on_cpus``."""
     paths = [e.capture_path for e in entries]
-    fold = functools.partial(_capture_tally, truncate_min=truncate_min)
-    workers = min(_usable_cpus(), len(paths))
-    if workers <= 1:
-        results = list(map(fold, paths))
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # fork: the CLI has started no thread by now, and each worker
-        # inherits the imported package instead of starting an interpreter.
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-        # About eight chunks per worker: few round trips, and a short last
-        # chunk when capture sizes differ.
-        chunksize = max(1, len(paths) // (8 * workers))
-        try:
-            results = list(pool.map(fold, paths, chunksize=chunksize))
-        finally:
-            pool.shutdown(cancel_futures=True)
+    results = map_on_cpus(functools.partial(_capture_tally, truncate_min=truncate_min), paths)
     captures = [(e.label, t) for e, (t, _) in zip(entries, results)]
     return captures, {p: digest for p, (_, digest) in zip(paths, results)}
 
@@ -388,7 +362,7 @@ class _TableRenderer:
     def __init__(self, app_data_only: bool, json: bool, csv: bool):
         self.app_data_only = app_data_only
         self.json, self.csv = json, csv
-        self.slots = _usable_cpus() - 1 if hasattr(os, "fork") else 0
+        self.slots = usable_cpus() - 1 if hasattr(os, "fork") else 0
         self.json_pieces: list = []
         self.csv_pieces: list = []
         self.live: collections.deque[tuple[int, int]] = collections.deque()  # (pid, error pipe)
@@ -583,7 +557,7 @@ def cmd_synth(args) -> int:
 
 
 def _synth(args) -> int:
-    from .synth import FixtureSpec, FixtureSpecError, parse_fixture_spec, synth_dataset
+    from .synth import FixtureSpecError, parse_fixture_spec, synth_dataset
 
     try:
         spec_obj = json.loads(args.spec.read_text())
@@ -593,13 +567,7 @@ def _synth(args) -> int:
     if args.seed is not None:
         if args.seed < 0:
             raise FixtureSpecError("seed", "must be a non-negative integer")
-        spec = FixtureSpec(
-            apps=spec.apps,
-            seed=args.seed,
-            linktype=spec.linktype,
-            ts_resolution=spec.ts_resolution,
-            base_date=spec.base_date,
-        )
+        spec = dataclasses.replace(spec, seed=args.seed)
     out_dir = args.out_dir
     if out_dir is None:
         env = os.environ.get(OUTPUT_DIR_ENV)

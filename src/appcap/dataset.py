@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import bisect
 import enum
+import os
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .classify import ClassifiedPacket, ProtoTag, dns_query_name
 from .ingest import Transport
@@ -156,6 +157,34 @@ def scan_directory(directory: Path) -> DatasetManifest:
     return scan_dataset(paths)
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on; ``taskset`` narrows them."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else 1
+
+
+def map_on_cpus(fn: Callable, items: Sequence) -> list:
+    """``fn`` of each item, in item order, computed by one worker per usable
+    CPU (at most one per item; with one, no pool is made). The first failing
+    item in order raises its error, and no worker outlives the call.
+    """
+    workers = min(usable_cpus(), len(items))
+    if workers <= 1:
+        return list(map(fn, items))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork: callers have started no thread by now, and each worker
+    # inherits the imported package instead of starting an interpreter.
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    # About eight chunks per worker: few round trips, a short last chunk.
+    chunksize = max(1, len(items) // (8 * workers))
+    try:
+        return list(pool.map(fn, items, chunksize=chunksize))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def truncate_packets(
     packets: Sequence[ClassifiedPacket], minutes: float
 ) -> list[ClassifiedPacket]:
@@ -182,6 +211,10 @@ class BackgroundKind(enum.Enum):
     CONNECTIVITY_DO53 = "ConnectivityDo53"
     SYSTEM_DOT = "SystemDot"
     NONE = "None"
+
+
+_HTTP, _DO53, _DOT, _TCP = ProtoTag.HTTP, ProtoTag.DO53, ProtoTag.DOT, Transport.TCP
+_CONNECTIVITY_HTTP, _CONNECTIVITY_DO53, _SYSTEM_DOT, _NONE = BackgroundKind
 
 
 def http_request_host(payload: bytes) -> str | None:
@@ -219,31 +252,31 @@ def attribute_background(
     http_flow_host: dict = {}
     connectivity_txns: set = set()
     for cp in classified:
-        if cp.protocol.tag is ProtoTag.HTTP and cp.record.payload:
+        if cp.protocol.tag is _HTTP and cp.record.payload:
             if cp.flow not in http_flow_host:
                 host = http_request_host(cp.record.payload)
                 if host is not None:
                     http_flow_host[cp.flow] = host
-        elif cp.protocol.tag is ProtoTag.DO53 and cp.detail is not None:
+        elif cp.protocol.tag is _DO53 and cp.detail is not None:
             # The classifier's message; its first two bytes are the ID.
             if dns_query_name(cp.detail) in CONNECTIVITY_DNS_NAMES:
                 connectivity_txns.add((cp.flow, cp.detail[:2]))
 
     tags: list[BackgroundKind] = []
     for cp in classified:
-        tag = BackgroundKind.NONE
-        if cp.protocol.tag is ProtoTag.HTTP or (
-            cp.record.transport is Transport.TCP
+        tag = _NONE
+        if cp.protocol.tag is _HTTP or (
+            cp.record.transport is _TCP
             and 80 in (cp.record.src_port, cp.record.dst_port)
             and cp.flow in http_flow_host
         ):
             if http_flow_host.get(cp.flow) == CONNECTIVITY_HTTP_HOST:
-                tag = BackgroundKind.CONNECTIVITY_HTTP
-        elif cp.protocol.tag is ProtoTag.DO53:
+                tag = _CONNECTIVITY_HTTP
+        elif cp.protocol.tag is _DO53:
             if cp.detail is not None and (cp.flow, cp.detail[:2]) in connectivity_txns:
-                tag = BackgroundKind.CONNECTIVITY_DO53
-        elif cp.protocol.tag is ProtoTag.DOT and baseline_mode:
+                tag = _CONNECTIVITY_DO53
+        elif cp.protocol.tag is _DOT and baseline_mode:
             if {cp.record.src_ip, cp.record.dst_ip} & SYSTEM_DNS_IPS:
-                tag = BackgroundKind.SYSTEM_DOT
+                tag = _SYSTEM_DOT
         tags.append(tag)
     return tags

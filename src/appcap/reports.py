@@ -268,13 +268,16 @@ def background_json(tags: Sequence[BackgroundKind]) -> dict:
     return counts
 
 
+_TLS, _DOT, _DO53, _HTTP, _QUIC = ProtoTag.TLS, ProtoTag.DOT, ProtoTag.DO53, ProtoTag.HTTP, ProtoTag.QUIC
+
+
 def describe_packet(cp: ClassifiedPacket) -> str:
     """The feature table's ``info``, formatted from ``cp.detail`` (see the
     README). TLS needs a parse here only when carried-over stream bytes came
     in front of the payload; then the payload alone is parsed."""
     tag = cp.protocol.tag
     detail = cp.detail
-    if tag is ProtoTag.TLS or tag is ProtoTag.DOT:
+    if tag is _TLS or tag is _DOT:
         if detail is not None or not cp.record.payload:
             return detail or ""
         try:
@@ -282,16 +285,16 @@ def describe_packet(cp: ClassifiedPacket) -> str:
         except (NotTls, Desync):
             return "Continuation"
         return tls_info(views)
-    if tag is ProtoTag.DO53:
+    if tag is _DO53:
         if detail is None:
             return "Query"
         name = dns_query_name(detail)
         kind = "Response" if detail[2] & 0x80 else "Query"
         return f"{kind} {name}" if name else kind
-    if tag is ProtoTag.HTTP:
+    if tag is _HTTP:
         line = cp.record.payload.split(b"\r\n", 1)[0][:80]
         return line.decode("ascii", errors="replace")
-    if tag is ProtoTag.QUIC and detail is not None:
+    if tag is _QUIC and detail is not None:
         return "LongHeader" if detail.long_header else "ShortHeader"
     return ""
 

@@ -8,6 +8,8 @@ key log files anywhere.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import random
 import struct
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
-from .dataset import DATE_FORMAT, CaptureLabel, render_capture_filename
+from .dataset import DATE_FORMAT, CaptureLabel, map_on_cpus, render_capture_filename
 from .ingest import (
     LINKTYPE_ETHERNET,
     LINKTYPE_SLL,
@@ -52,6 +54,9 @@ class FixtureSpecError(ValueError):
     def __init__(self, field_path: str, message: str):
         super().__init__(f"{field_path}: {message}")
         self.field_path = field_path
+
+    def __reduce__(self):  # rebuilt from its fields, so it survives a process pool
+        return FixtureSpecError, (self.field_path, str(self)[len(self.field_path) + 2 :])
 
 
 @dataclass(frozen=True)
@@ -407,54 +412,51 @@ def _profile_flow(profile: str, n: int, rng: random.Random) -> _FlowPlan:
 # --- Frame assembly -----------------------------------------------------------
 
 
-def _ipv4_checksum(header: bytes) -> int:
-    total = sum(struct.unpack(f">{len(header) // 2}H", header))
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
-
-
-def _ipv4(src: str, dst: str, proto: int, payload: bytes, ident: int) -> bytes:
-    src_b = bytes(int(x) for x in src.split("."))
-    dst_b = bytes(int(x) for x in dst.split("."))
-    header = struct.pack(
-        ">BBHHHBBH4s4s", 0x45, 0, 20 + len(payload), ident, 0x4000, 64, proto, 0, src_b, dst_b
-    )
-    checksum = _ipv4_checksum(header)
-    return header[:10] + struct.pack(">H", checksum) + header[12:] + payload
-
-
-def _tcp(sport: int, dport: int, seq: int, ack: int, payload: bytes) -> bytes:
-    header = struct.pack(
-        ">HHIIBBHHH", sport, dport, seq & 0xFFFFFFFF, ack & 0xFFFFFFFF, 0x50, _TCP_PSH_ACK, 65535, 0, 0
-    )
-    return header + payload
-
-
-def _udp(sport: int, dport: int, payload: bytes) -> bytes:
-    return struct.pack(">HHHH", sport, dport, 8 + len(payload), 0) + payload
-
-
 _CLIENT_MAC = b"\x02\x00\x00\x00\x00\x01"
 _SERVER_MAC = b"\x02\x00\x00\x00\x00\x02"
+# TCP data offset 5 words, PSH|ACK, window 65535, zero checksum and urgent pointer.
+_TCP_TAIL = struct.pack(">BBHHH", 0x50, _TCP_PSH_ACK, 65535, 0, 0)
 
 
-def _frame(linktype: int, client_to_server: bool, ip_packet: bytes) -> bytes:
+def _link_header(linktype: int, client_to_server: bool) -> bytes:
     if linktype == LINKTYPE_ETHERNET:
         src, dst = (_CLIENT_MAC, _SERVER_MAC) if client_to_server else (_SERVER_MAC, _CLIENT_MAC)
-        return dst + src + struct.pack(">H", 0x0800) + ip_packet
+        return dst + src + struct.pack(">H", 0x0800)
+    pkt_type = 4 if client_to_server else 0
+    mac = (_CLIENT_MAC if client_to_server else _SERVER_MAC).ljust(8, b"\x00")
     if linktype == LINKTYPE_SLL:
-        pkt_type = 4 if client_to_server else 0
-        mac = _CLIENT_MAC if client_to_server else _SERVER_MAC
-        return struct.pack(">HHH8sH", pkt_type, 1, 6, mac.ljust(8, b"\x00"), 0x0800) + ip_packet
+        return struct.pack(">HHH8sH", pkt_type, 1, 6, mac, 0x0800)
     if linktype == LINKTYPE_SLL2:
-        pkt_type = 4 if client_to_server else 0
-        mac = _CLIENT_MAC if client_to_server else _SERVER_MAC
-        return (
-            struct.pack(">HHIHBB8s", 0x0800, 0, 1, 1, pkt_type, 6, mac.ljust(8, b"\x00"))
-            + ip_packet
-        )
+        return struct.pack(">HHIHBB8s", 0x0800, 0, 1, 1, pkt_type, 6, mac)
     raise ValueError(f"unsupported linktype {linktype}")
+
+
+class _HeaderTemplate:
+    """One flow direction's link, IPv4 and TCP/UDP headers. ``frame`` packs
+    what varies per packet: IPv4 length, ident and checksum (folded onto the
+    constant words' ones'-complement sum, RFC 1071), then the TCP sequence
+    and acknowledgment numbers or the UDP length."""
+
+    __slots__ = ("pack", "head", "middle", "ends", "header_len", "constant_sum")
+
+    def __init__(self, linktype: int, client_to_server: bool, transport: Transport, src, dst):
+        proto = 6 if transport is Transport.TCP else 17
+        addresses = bytes(int(x) for x in f"{src[0]}.{dst[0]}".split("."))
+        self.head = _link_header(linktype, client_to_server) + b"\x45\x00"
+        self.middle = bytes([0x40, 0x00, 64, proto])  # don't fragment, TTL 64
+        self.ends = addresses + struct.pack(">HH", src[1], dst[1])
+        l4 = "II8s" if proto == 6 else "H2x"  # seq, ack, _TCP_TAIL; or the UDP length
+        self.pack = struct.Struct(f">{len(self.head)}sHH4sH12s{l4}").pack
+        self.header_len = 20 + (20 if proto == 6 else 8)  # IPv4 and TCP/UDP
+        self.constant_sum = sum(struct.unpack(">6H", self.middle + addresses)) + 0x4500
+
+    def frame(self, ident: int, payload: bytes, *l4_fields) -> bytes:
+        total = self.header_len + len(payload)
+        s = self.constant_sum + total + ident
+        s = (s & 0xFFFF) + (s >> 16)
+        s = (s & 0xFFFF) + (s >> 16)
+        header = self.pack(self.head, total, ident, self.middle, ~s & 0xFFFF, self.ends, *l4_fields)
+        return header + payload
 
 
 @dataclass
@@ -492,6 +494,10 @@ def build_capture(
         keylog_entries.extend(plan.keylog)
         client = (CLIENT_IP, 40000 + fi)
         server = (plan.server_ip, plan.server_port)
+        tcp = plan.transport is Transport.TCP
+        tcp_flags = _TCP_PSH_ACK if tcp else None
+        ends = {True: (client, server), False: (server, client)}
+        templates = {c2s: _HeaderTemplate(linktype, c2s, plan.transport, *ends[c2s]) for c2s in ends}
         seq = {True: 1000, False: 2000}
         for k, (c2s, payload) in enumerate(plan.packets):
             offset_s = flow.start_offset_s + k / flow.rate_pps
@@ -499,35 +505,22 @@ def build_capture(
                 ts_ns = t0_ns + round(offset_s * 1_000_000_000)
             else:
                 ts_ns = t0_ns + round(offset_s * 1_000_000) * 1000
-            src, dst = (client, server) if c2s else (server, client)
-            if plan.transport is Transport.TCP:
-                l4 = _tcp(src[1], dst[1], seq[c2s], seq[not c2s], payload)
+            src, dst = ends[c2s]
+            if tcp:
+                ack = seq[not c2s] & 0xFFFFFFFF
+                frame = templates[c2s].frame(ident, payload, seq[c2s] & 0xFFFFFFFF, ack, _TCP_TAIL)
                 seq[c2s] += len(payload)
-                proto = 6
-                tcp_flags = _TCP_PSH_ACK
             else:
-                l4 = _udp(src[1], dst[1], payload)
-                proto = 17
-                tcp_flags = None
-            ip_packet = _ipv4(src[0], dst[0], proto, l4, ident)
+                frame = templates[c2s].frame(ident, payload, 8 + len(payload))
             # The IPv4 Identification field is 16 bits; wrap as stacks do.
             ident = (ident + 1) % 0x10000
-            frame = _frame(linktype, c2s, ip_packet)
             record = PacketRecord(
-                ts_ns=ts_ns,
-                ip_version=4,
-                src_ip=src[0],
-                dst_ip=dst[0],
-                src_port=src[1],
-                dst_port=dst[1],
-                transport=plan.transport,
-                packet_len=len(frame),
-                payload=payload,
-                tcp_flags=tcp_flags,
+                ts_ns, 4, src[0], dst[0], src[1], dst[1], plan.transport, len(frame), payload, tcp_flags
             )
             staged.append((ts_ns, fi, k, frame, record))
 
-    staged.sort(key=lambda item: (item[0], item[1], item[2]))
+    # (ts_ns, flow_index, k) is unique, so the frames and records are never compared.
+    staged.sort()
     pcap = write_pcap(linktype, nanos, [(ts, frame) for ts, _, _, frame, _ in staged])
     return CaptureResult(
         label=label,
@@ -542,25 +535,28 @@ def write_pcap(linktype: int, nanos: bool, frames: list[tuple[int, bytes]]) -> b
     out = [struct.pack("<IHHiIII", magic, 2, 4, 0, 0, 262144, linktype)]
     divisor = 1 if nanos else 1000
     per_second = 1_000_000_000 if nanos else 1_000_000
+    record_header = struct.Struct("<IIII").pack
     for ts_ns, frame in frames:
-        units = ts_ns // divisor
-        out.append(
-            struct.pack("<IIII", units // per_second, units % per_second, len(frame), len(frame))
-        )
-        out.append(frame)
+        seconds, fraction = divmod(ts_ns // divisor, per_second)
+        out += (record_header(seconds, fraction, len(frame), len(frame)), frame)
     return b"".join(out)
 
 
 def synth_dataset(spec: FixtureSpec, out_dir: Path) -> list[Path]:
-    """Write every capture and its paired key log; returns written paths."""
+    """Write every capture and its paired key log, built on every usable
+    CPU (``dataset.map_on_cpus``) with the same bytes for any CPU count;
+    returns the written paths in spec order."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    for app in spec.apps:
-        for ci, capture in enumerate(app.captures):
-            result = build_capture(spec, app.app_name, ci, capture)
-            pcap_path = out_dir / render_capture_filename(result.label)
-            pcap_path.write_bytes(result.pcap_bytes)
-            keylog_path = out_dir / keylog_filename_for(result.label)
-            keylog_path.write_text(result.keylog_text)
-            written.extend([pcap_path, keylog_path])
-    return written
+    jobs = [(app.app_name, ci, c) for app in spec.apps for ci, c in enumerate(app.captures)]
+    # Each job carries its own capture, so workers are sent the spec without its apps.
+    write = functools.partial(_write_capture, dataclasses.replace(spec, apps=()), out_dir)
+    return [path for paths in map_on_cpus(write, jobs) for path in paths]
+
+
+def _write_capture(spec: FixtureSpec, out_dir: Path, job: tuple[str, int, CaptureSpec]) -> tuple[Path, Path]:
+    result = build_capture(spec, *job)
+    pcap_path = out_dir / render_capture_filename(result.label)
+    pcap_path.write_bytes(result.pcap_bytes)
+    keylog_path = out_dir / keylog_filename_for(result.label)
+    keylog_path.write_text(result.keylog_text)
+    return pcap_path, keylog_path

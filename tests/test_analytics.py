@@ -9,6 +9,7 @@ from test_properties import MANY, _build_packets, packet_specs
 
 from appcap.analytics import (
     ENCRYPTED_TAGS,
+    MAX_BINS,
     NoCommonApps,
     Scope,
     compare_datasets,
@@ -21,6 +22,7 @@ from appcap.analytics import (
     protocol_distribution,
     quic_behavior_for,
     QuicBehavior,
+    TooManyBins,
     tally,
     temporal_histogram,
 )
@@ -194,6 +196,16 @@ class TestHistogram:
         hist = temporal_histogram([])
         assert hist.t0_ns is None
         assert hist.series == {}
+
+    def test_bin_count_capped_before_any_series_grows(self):
+        # 1 ns bins: packets MAX_BINS - 1 ns apart fill MAX_BINS bins, one ns
+        # more needs one bin too many (a few MB of list if it were built).
+        quic = proto(ProtoTag.QUIC)
+        at_limit = [mk_classified(quic, ts_ns=7), mk_classified(quic, ts_ns=7 + MAX_BINS - 1)]
+        assert temporal_histogram(at_limit, bin_width_s=1e-9).n_bins == MAX_BINS
+        over = [mk_classified(quic, ts_ns=7), mk_classified(quic, ts_ns=7 + MAX_BINS)]
+        with pytest.raises(TooManyBins, match="1,000,001 bins"):
+            temporal_histogram(over, bin_width_s=1e-9)
 
     def test_non_app_data_excluded(self):
         packets = [

@@ -95,7 +95,7 @@ def _run(root, monkeypatch, capfd, name, flags, cpus, chunk) -> tuple:
     argv += ["--csv", csv_out] if csv_out else []
     for out in ("out.json", "out.csv"):
         (root / out).unlink(missing_ok=True)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(cli, "_CHUNK_FRAMES", chunk)
     code = main(argv)
     assert_no_child_left()
@@ -224,7 +224,7 @@ def test_renderer_failure_exits_2_and_leaves_no_child(cpus, in_root, monkeypatch
         return feature_rows(packets)
 
     monkeypatch.setattr(cli, "feature_rows", failing)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(cli, "_CHUNK_FRAMES", 7)
     code = main(["analyze", capture, "--json", "fail.json", "--csv", "fail.csv"])
     assert_no_child_left()
@@ -238,7 +238,7 @@ def test_renderer_failure_exits_2_and_leaves_no_child(cpus, in_root, monkeypatch
 
 @pytest.mark.parametrize("cpus", CPU_COUNTS)
 def test_unusable_temporary_directory_exits_2(cpus, in_root, monkeypatch, capfd):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
     with monkeypatch.context() as patch:  # capfd needs a temporary directory on teardown
         patch.setattr(tempfile, "tempdir", str(in_root / "no-such-directory"))
         code = main(["analyze", _paths(FIXTURE_NAMES[0])[0], "--csv", "tmp.csv"])
@@ -267,7 +267,7 @@ def broken_captures(corpus_root, tmp_path_factory):
 
 @pytest.mark.parametrize("cpus", CPU_COUNTS)
 def test_capture_errors_exit_3(cpus, broken_captures, in_root, monkeypatch, capfd):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(cli, "_CHUNK_FRAMES", 7)
     for capture, message in broken_captures.items():
         code = main(["analyze", str(capture), "--json", "broken.json", "--csv", "broken.csv"])

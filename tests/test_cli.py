@@ -7,7 +7,7 @@ import pytest
 from helpers import PCAP_MAGIC_NS_LE, eth, ip4, pcap_file, tcp
 
 from appcap.cli import main
-from appcap.synth import build_http_204, build_http_get
+from appcap.synth import CONNECTIVITY_HOST, build_http_204, build_http_get
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 BACKGROUND_SPEC = json.loads((FIXTURES / "background.json").read_text())
@@ -148,6 +148,19 @@ class TestFlagValues:
             main([*argv, "--truncate-min", value])
         assert excinfo.value.code == 64
         assert "argument --truncate-min" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "baseline"])
+    def test_too_many_bins_exit_64(self, tmp_path, capsys, command):
+        # Two connectivity-check requests 1 s apart, in 1 us bins: 1,000,001
+        # bins, one over the limit (a few MB of list if it were built).
+        get = eth(ip4(tcp(build_http_get(CONNECTIVITY_HOST), dport=80), proto=6))
+        capture = tmp_path / "custom_20250101T000000Z_60.pcap"
+        capture.write_bytes(pcap_file([(1, 0, get), (2, 0, get)]))
+        code = main([command, str(capture), "--bins", "1e-6", "--json", str(tmp_path / "out.json")])
+        assert code == 64
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "appcap: a 1e-06 s bin width needs 1,000,001 bins; the limit is 1,000,000\n")
+        assert not (tmp_path / "out.json").exists()
 
     def test_one_ns_bins_accepted(self, tmp_path):
         # Two HTTP packets 5 ns apart in a nanosecond capture: six 1 ns bins.

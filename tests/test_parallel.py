@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 from test_report_goldens import FIXTURES, _GENERATED_AT
 
-from appcap import cli
+from appcap import dataset
 from appcap.cli import main
 from appcap.dataset import scan_directory
 from appcap.ingest import read_capture
@@ -85,7 +85,7 @@ def in_root(corpus_root, monkeypatch):
 
 
 def _set_cpus(monkeypatch, count: int) -> None:
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
+    monkeypatch.setattr(dataset, "usable_cpus", lambda: count)
 
 
 def _pool_sizes(monkeypatch) -> list[int]:
@@ -146,15 +146,15 @@ def test_one_cpu_makes_no_pool(in_root, monkeypatch):
 
 
 def test_usable_cpus_follows_the_affinity_mask(monkeypatch):
-    assert cli._usable_cpus() == len(os.sched_getaffinity(0))
+    assert dataset.usable_cpus() == len(os.sched_getaffinity(0))
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert cli._usable_cpus() == 1
+    assert dataset.usable_cpus() == 1
 
 
 def test_pool_parent_does_not_load_openssl(corpus_root):
     """Only processes that hash capture bytes import hashlib (and OpenSSL)."""
     script = (
-        "import sys; from appcap import cli; cli._usable_cpus = lambda: 2; "
+        "import sys; from appcap import cli, dataset; dataset.usable_cpus = lambda: 2; "
         f"assert cli.main(['dataset', 'stats', {str(corpus_root / 'varied_a')!r}]) == 0; "
         "assert 'hashlib' not in sys.modules, 'hashlib imported'"
     )

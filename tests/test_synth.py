@@ -1,13 +1,18 @@
 import json
+import pickle
 from collections import Counter
 
 import pytest
 from helpers import classify_with_states
+from test_analyze_pipeline import assert_no_child_left
+from test_parallel import _pool_sizes
 
+from appcap import dataset
 from appcap.classify import classify_capture
-from appcap.dataset import parse_capture_filename, scan_directory
+from appcap.cli import main
+from appcap.dataset import parse_capture_filename, render_capture_filename, scan_directory
 from appcap.ingest import decode_stream, read_capture
-from appcap.keylog import key_coverage, parse_keylog
+from appcap.keylog import key_coverage, keylog_filename_for, parse_keylog
 from appcap.synth import (
     CaptureSpec,
     FixtureSpec,
@@ -76,6 +81,13 @@ class TestSpecParsing:
             parse_fixture_spec({"seed": 1})
         assert excinfo.value.field_path == "apps"
 
+    def test_error_pickles_with_its_field_path(self):
+        error = FixtureSpecError("apps[0].captures[2].flows[1].rate_pps", "must be a number > 0")
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is FixtureSpecError
+        assert copy.field_path == error.field_path
+        assert str(copy) == str(error)
+
     def test_bool_rejected_in_numeric_fields(self):
         bad = json.loads(json.dumps(SPEC_OBJ))
         bad["apps"][0]["captures"][0]["duration_s"] = True
@@ -123,6 +135,36 @@ class TestRoundTrip:
     def test_microsecond_timestamps_divisible(self):
         result = capture_for(("Do53", 3))
         assert all(r.ts_ns % 1000 == 0 for r in result.records)
+
+    @pytest.mark.parametrize("linktype,ip_offset", [("ethernet", 14), ("sll", 16), ("sll2", 20)])
+    def test_every_ipv4_header_checksum_verifies(self, linktype, ip_offset):
+        """Checked as RFC 1071 does: the ones'-complement sum of a header,
+        checksum included, is 0xFFFF. 65,604 TCP and UDP packets take the
+        Identification field across its 65,535 -> 0 wrap."""
+        result = capture_for(("Tls13", 32_000), ("QuicV1", 33_600), linktype=linktype)
+        idents = set()
+        for frame in _pcap_frames(result.pcap_bytes):
+            header = frame[ip_offset : ip_offset + 20]
+            assert header[0] == 0x45
+            assert _ones_complement_sum(header) == 0xFFFF, header.hex()
+            idents.add(int.from_bytes(header[4:6], "big"))
+        assert len(idents) == 65_536
+
+
+def _pcap_frames(data: bytes):
+    """Each record's bytes of a little-endian classic pcap."""
+    offset = 24
+    while offset < len(data):
+        length = int.from_bytes(data[offset + 8 : offset + 12], "little")
+        yield data[offset + 16 : offset + 16 + length]
+        offset += 16 + length
+
+
+def _ones_complement_sum(data: bytes) -> int:
+    total = sum(data[i] << 8 | data[i + 1] for i in range(0, len(data), 2))
+    while total > 0xFFFF:
+        total = (total & 0xFFFF) + (total >> 16)
+    return total
 
 
 PROFILE_EXPECTATIONS = {
@@ -196,3 +238,81 @@ class TestDatasetWriting:
         assert len(manifest.entries) == 2
         dates = {e.label.capture_date for e in manifest.entries}
         assert len(dates) == 2
+
+
+# Six captures of 3 to 1,500 packets, the largest first, so workers finish
+# out of order; the apps are listed against their names' sort order.
+MULTI_SPEC = {
+    "seed": 3,
+    "linktype": "ethernet",
+    "apps": [
+        {
+            "app_name": f"com.multi.{name}",
+            "captures": [
+                {
+                    "duration_s": 60,
+                    "flows": [
+                        {"protocol_profile": "QuicV1", "app_data_packets": n, "rate_pps": 30},
+                        {"protocol_profile": "Tls12", "app_data_packets": n // 3, "start_offset_s": 2},
+                    ],
+                }
+                for n in sizes
+            ],
+        }
+        for name, sizes in [("zeta", (1500, 3, 400)), ("alpha", (3, 700, 90))]
+    ],
+}
+
+
+class TestParallelSynthesis:
+    def test_any_cpu_count_writes_the_same_bytes_in_spec_order(self, tmp_path, monkeypatch):
+        spec = parse_fixture_spec(MULTI_SPEC)
+        sizes = _pool_sizes(monkeypatch)
+        outputs = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(dataset, "usable_cpus", lambda: cpus)
+            out = tmp_path / str(cpus)
+            written = synth_dataset(spec, out)
+            assert_no_child_left()
+            assert {p.parent for p in written} == {out}
+            outputs[cpus] = [(p.name, p.read_bytes()) for p in written]
+        assert sizes == [2]
+        assert outputs[2] == outputs[1]
+        labels = [
+            build_capture(spec, app.app_name, ci, capture).label
+            for app in spec.apps
+            for ci, capture in enumerate(app.captures)
+        ]
+        names = [name for lb in labels for name in (render_capture_filename(lb), keylog_filename_for(lb))]
+        assert [name for name, _ in outputs[1]] == names
+
+    def test_spec_error_in_a_worker_keeps_its_field_path(self, tmp_path, monkeypatch):
+        parsed = parse_fixture_spec(MULTI_SPEC)
+        spec = FixtureSpec(apps=parsed.apps, base_date="not a date")
+        monkeypatch.setattr(dataset, "usable_cpus", lambda: 2)
+        sizes = _pool_sizes(monkeypatch)
+        with pytest.raises(FixtureSpecError) as excinfo:
+            synth_dataset(spec, tmp_path)
+        assert_no_child_left()
+        assert sizes == [2]
+        assert excinfo.value.field_path == "base_date"
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_directory_at_a_capture_path_exits_2(self, cpus, tmp_path, monkeypatch, capfd):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(MULTI_SPEC))
+        spec = parse_fixture_spec(MULTI_SPEC)
+        blocked = tmp_path / "out" / render_capture_filename(
+            build_capture(spec, spec.apps[1].app_name, 1, spec.apps[1].captures[1]).label
+        )
+        blocked.mkdir(parents=True)
+        monkeypatch.setattr(dataset, "usable_cpus", lambda: cpus)
+        sizes = _pool_sizes(monkeypatch)
+        code = main(["synth", str(spec_path), str(tmp_path / "out")])
+        assert_no_child_left()
+        out, err = capfd.readouterr()
+        assert code == 2
+        assert err.startswith("appcap: ") and err.count("\n") == 1
+        assert blocked.name in err
+        assert out == ""
+        assert sizes == ([2] if cpus == 2 else [])
