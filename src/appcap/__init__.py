@@ -22,6 +22,7 @@ from .analytics import (
     protocol_distribution,
     tally,
     temporal_histogram,
+    timeline,
 )
 from .classify import (
     AppProtocol,

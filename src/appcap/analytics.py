@@ -4,10 +4,10 @@
 (transport, protocol, is_app_data), and every dataset reducer reads tallies,
 not packet lists. Tallies merge by addition, so per-capture work can run
 independently and merge deterministically: the sum of per-capture tallies
-gives the same results as one tally of all the packets. Only
-``temporal_histogram`` needs timestamps and stays per-packet. Percentages
-are emitted for nonzero categories only; display concerns like log scaling
-stay out of here.
+gives the same results as one tally of all the packets. ``timeline`` does
+the same for ``temporal_histogram``: packet counts keyed by timestamp and
+series, which merge by addition too. Percentages are emitted for nonzero
+categories only; display concerns like log scaling stay out of here.
 """
 
 from __future__ import annotations
@@ -101,34 +101,40 @@ class TemporalHistogram:
         return max((len(s) for s in self.series.values()), default=0)
 
 
-def temporal_histogram(
-    classified: Sequence[ClassifiedPacket],
-    bin_width_s: float = 10.0,
-    app_data_only: bool = True,
-) -> TemporalHistogram:
-    """Per-protocol packet counts binned from the first packet onward;
-    ``TooManyBins``, before any series grows, if they need too many bins."""
-    if bin_width_s <= 0:
-        raise ValueError("bin_width_s must be positive")
-    if not classified:
+# Packet counts keyed by (ts_ns, histogram series, or None for a packet in none).
+Timeline = Counter
+
+
+def timeline(packets: Iterable[ClassifiedPacket]) -> Timeline:
+    """One pass over packets for ``temporal_histogram``: each app-data packet
+    counts in its protocol's series, and every packet counts for the bins."""
+    return Counter(
+        (cp.record.ts_ns, _HIST_CATEGORY.get(cp.protocol.tag) if cp.is_app_data else None) for cp in packets
+    )
+
+
+def temporal_histogram(times: Timeline, bin_width_s: float = 10.0) -> TemporalHistogram:
+    """App-data packet counts per series, binned from the first packet of
+    ``times`` onward; ``TooManyBins``, before any series grows, if they need
+    too many bins, and ``ValueError`` for a width under 1 ns."""
+    width_ns = int(bin_width_s * NS_PER_SECOND) if bin_width_s > 0 else 0
+    if width_ns < 1:
+        raise ValueError("bin_width_s must be at least 1 ns")
+    if not times:
         return TemporalHistogram(bin_width_s=bin_width_s, t0_ns=None, series={})
-    t0 = min(cp.record.ts_ns for cp in classified)
-    width_ns = int(bin_width_s * NS_PER_SECOND)
-    n_bins = (max(cp.record.ts_ns for cp in classified) - t0) // width_ns + 1
+    t0 = min(ts for ts, _ in times)
+    n_bins = (max(ts for ts, _ in times) - t0) // width_ns + 1
     if n_bins > MAX_BINS:
         raise TooManyBins(f"a {bin_width_s:g} s bin width needs {n_bins:,} bins; the limit is {MAX_BINS:,}")
     series: dict[str, list[int]] = {}
-    for cp in classified:
-        if app_data_only and not cp.is_app_data:
-            continue
-        category = _HIST_CATEGORY.get(cp.protocol.tag)
+    for (ts, category), count in times.items():
         if category is None:
             continue
-        idx = (cp.record.ts_ns - t0) // width_ns
+        idx = (ts - t0) // width_ns
         bins = series.setdefault(category, [])
         if len(bins) <= idx:
             bins.extend([0] * (idx + 1 - len(bins)))
-        bins[idx] += 1
+        bins[idx] += count
     n = max((len(s) for s in series.values()), default=0)
     for bins in series.values():
         bins.extend([0] * (n - len(bins)))

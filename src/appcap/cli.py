@@ -20,12 +20,14 @@ import os
 import signal
 import sys
 import tempfile
+from collections.abc import Iterator
 from pathlib import Path
 
 from .analytics import (
     NoCommonApps,
     Scope,
     Tally,
+    Timeline,
     TooManyBins,
     compare_datasets,
     flow_graph,
@@ -34,6 +36,7 @@ from .analytics import (
     protocol_distribution,
     tally,
     temporal_histogram,
+    timeline,
 )
 from .classify import ClassifiedPacket, FlowTable
 from .dataset import (
@@ -82,10 +85,6 @@ OUTPUT_DIR_ENV = "APPCAP_OUTPUT_DIR"
 
 class _DomainError(Exception):
     """Carries a user-facing message for exit code 3."""
-
-
-class _UsageError(Exception):
-    """Carries a user-facing message for exit code 64."""
 
 
 class _RenderError(Exception):
@@ -177,7 +176,14 @@ def build_parser() -> _Parser:
 def _output_flags(parser, csv: bool = True) -> None:
     parser.add_argument("--json", dest="json_path", metavar="PATH", help="write report JSON ('-' for stdout)")
     if csv:
-        parser.add_argument("--csv", dest="csv_path", metavar="PATH")
+        parser.add_argument("--csv", dest="csv_path", type=_csv_path, metavar="PATH")
+
+
+def _csv_path(text: str) -> str:
+    """Argument type of --csv, refused before any work: a file path, not '-'."""
+    if text == "-":
+        raise argparse.ArgumentTypeError("needs a file path, not '-'")
+    return text
 
 
 def main(argv=None) -> int:
@@ -207,7 +213,7 @@ def _run(args) -> int:
     except _DomainError as exc:
         print(f"appcap: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (_UsageError, TooManyBins) as exc:
+    except TooManyBins as exc:
         print(f"appcap: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, _RenderError) as exc:
@@ -226,13 +232,6 @@ def _resolve_out(path_text: str | None) -> Path | None:
     return path
 
 
-def _resolve_csv(path_text: str) -> Path:
-    path = _resolve_out(path_text)
-    if path is None:
-        raise _UsageError("--csv needs a file path, not '-'")
-    return path
-
-
 def _emit(args, envelope: dict) -> None:
     if getattr(args, "json_path", None) is not None:
         write_envelope(envelope, _resolve_out(args.json_path), sys.stdout)
@@ -246,28 +245,34 @@ def _read_file(path: Path) -> tuple[CaptureStream, str]:
     return read_capture(data), hashlib.sha256(data).hexdigest()
 
 
-def _classify_file(path: Path) -> tuple[list[ClassifiedPacket], FlowTable, str]:
-    stream, digest = _read_file(path)
-    records = decode_stream(stream)
-    del stream  # the file's bytes, freed before the records are classified
-    flows = FlowTable()
-    return [flows.classify(r) for r in records], flows, digest
+# Frames decoded and classified per chunk; ``analyze`` renders each chunk's
+# rows while the next chunk is classified.
+_CHUNK_FRAMES = 4096
+
+
+def _classified(
+    stream: CaptureStream, flows: FlowTable, truncate_min: float | None = None
+) -> Iterator[list[ClassifiedPacket]]:
+    """The capture's packets, classified by ``flows``, one list per
+    ``_CHUNK_FRAMES`` frames. With ``truncate_min``, ``_records_to_cutoff``
+    decides what is decoded, and only packets before its cutoff are yielded."""
+    if truncate_min is None:
+        for start in range(0, len(stream.offsets), _CHUNK_FRAMES):
+            chunk = dataclasses.replace(stream, offsets=stream.offsets[start : start + _CHUNK_FRAMES])
+            yield [flows.classify(r) for r in decode_stream(chunk)]
+        return
+    records, cutoff = _records_to_cutoff(stream, truncate_min)
+    for start in range(0, len(records), _CHUNK_FRAMES):
+        packets = [flows.classify(r) for r in records[start : start + _CHUNK_FRAMES]]
+        yield [cp for cp in packets if cp.record.ts_ns < cutoff]
 
 
 def _capture_tally(path: Path, truncate_min: float | None) -> tuple[Tally, str]:
     """One capture's tally (with ``truncate_min``, of the packets that
-    ``truncate_packets`` keeps) and digest, built without a packet list. Runs
+    ``truncate_packets`` keeps) and digest, built one chunk at a time. Runs
     in a pool worker, so it takes and returns only small picklable values."""
     stream, digest = _read_file(path)
-    if truncate_min is None:
-        records, cutoff = decode_stream(stream), None
-    else:
-        records, cutoff = _records_to_cutoff(stream, truncate_min)
-    del stream  # the file's bytes, freed before the records are classified
-    classified = map(FlowTable().classify, records)
-    if cutoff is not None:
-        classified = (cp for cp in classified if cp.record.ts_ns < cutoff)
-    return tally(classified), digest
+    return sum(map(tally, _classified(stream, FlowTable(), truncate_min)), Tally()), digest
 
 
 def _records_to_cutoff(stream: CaptureStream, minutes: float) -> tuple[list[PacketRecord], int]:
@@ -312,25 +317,19 @@ def _fold_captures(
     return captures, {p: digest for p, (_, digest) in zip(paths, results)}
 
 
-# Frames that ``analyze`` decodes and classifies per step; each step's rows
-# are rendered while the next step is classified.
-_CHUNK_FRAMES = 4096
-
-
 def cmd_analyze(args) -> int:
     stream, digest = _read_file(args.capture)
     flows = FlowTable()
-    classified: list[ClassifiedPacket] = []
+    counts, times = Tally(), Timeline()
     want_json, want_csv = args.json_path is not None, bool(args.csv_path)
     with _TableRenderer(args.app_data_only, want_json, want_csv) as renderer:
-        for start in range(0, len(stream.offsets), _CHUNK_FRAMES):
-            chunk = dataclasses.replace(stream, offsets=stream.offsets[start : start + _CHUNK_FRAMES])
-            packets = [flows.classify(r) for r in decode_stream(chunk)]
+        for packets in _classified(stream, flows):
             renderer.render(packets)
-            classified += packets
+            counts.update(tally(packets))
+            times.update(timeline(packets))
         scope = Scope.APP_DATA_ONLY if args.app_data_only else Scope.ALL_PACKETS
-        dist = protocol_distribution(tally(classified), scope)
-        hist = temporal_histogram(classified, bin_width_s=args.bins)
+        dist = protocol_distribution(counts, scope)
+        hist = temporal_histogram(times, bin_width_s=args.bins)
         body = {"distribution": distribution_json(dist), "histogram": histogram_json(hist)}
         if args.keylog is not None:
             index = read_keylog(args.keylog)
@@ -340,7 +339,7 @@ def cmd_analyze(args) -> int:
         inputs = [args.capture] + ([args.keylog] if args.keylog else [])
         envelope = make_envelope("analyze", inputs, body, {args.capture: digest})
         if want_csv:
-            write_table_csv(body["packets"], _resolve_csv(args.csv_path))
+            write_table_csv(body["packets"], _resolve_out(args.csv_path))
         _emit(args, envelope)
     if args.json_path is None:
         _print_distribution(dist)
@@ -479,7 +478,7 @@ def cmd_dataset_stats(args) -> int:
     }
     envelope = make_envelope("dataset-stats", [e.capture_path for e in manifest.entries], body, digests)
     if args.csv_path:
-        write_stats_csv(ppm, _resolve_csv(args.csv_path))
+        write_stats_csv(ppm, _resolve_out(args.csv_path))
     _emit(args, envelope)
     if args.json_path is None:
         for record in ppm:
@@ -503,7 +502,7 @@ def cmd_compare(args) -> int:
     inputs = [e.capture_path for e in entries_a + entries_b]
     envelope = make_envelope("compare", inputs, body, digests)
     if args.csv_path:
-        write_compare_csv(report, _resolve_csv(args.csv_path))
+        write_compare_csv(report, _resolve_out(args.csv_path))
     _emit(args, envelope)
     if args.json_path is None:
         dns = report.dns_evolution
@@ -517,7 +516,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_keycov(args) -> int:
-    _, flows, digest = _classify_file(args.capture)
+    stream, digest = _read_file(args.capture)
+    flows = FlowTable()
+    collections.deque(_classified(stream, flows), maxlen=0)  # coverage reads only the flows' states
     index = read_keylog(args.keylog)
     coverage = key_coverage(index, flows.states)
     body = {"coverage": coverage_json(coverage, index.malformed_lines)}
@@ -532,10 +533,12 @@ def cmd_keycov(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    classified, _, digest = _classify_file(args.capture)
-    tags = attribute_background(classified, baseline_mode=True)
+    stream, digest = _read_file(args.capture)
+    # One list: attribution makes two passes over the packets.
+    classified = [cp for packets in _classified(stream, FlowTable()) for cp in packets]
+    tags = attribute_background(classified)
     tagged = [cp for cp, tag in zip(classified, tags) if tag is not BackgroundKind.NONE]
-    hist = temporal_histogram(tagged, bin_width_s=args.bins)
+    hist = temporal_histogram(timeline(tagged), bin_width_s=args.bins)
     body = {"tags": background_json(tags), "histogram": histogram_json(hist)}
     envelope = make_envelope("baseline", [args.capture], body, {args.capture: digest})
     _emit(args, envelope)

@@ -238,16 +238,15 @@ def http_request_host(payload: bytes) -> str | None:
     return None
 
 
-def attribute_background(
-    classified: Sequence[ClassifiedPacket], baseline_mode: bool = False
-) -> list[BackgroundKind]:
-    """Tag each packet's background cause; exactly one tag per packet.
+def attribute_background(classified: Sequence[ClassifiedPacket]) -> list[BackgroundKind]:
+    """Tag each packet of a background capture with its cause; exactly one
+    tag per packet.
 
-    HTTP flows whose first request targets the connectivity-check host and
-    Do53 connectivity queries (plus their responses, matched by transaction
-    id) are always attributed. DoT to Google's public resolvers is tagged
-    SystemDot only in baseline mode, because app captures legitimately carry
-    their own DoT.
+    HTTP flows whose first request targets the connectivity-check host, Do53
+    connectivity queries (plus their responses, matched by transaction id)
+    and DoT to Google's public resolvers (SystemDot) are attributed. The
+    capture is taken to hold background traffic only: an app capture
+    legitimately carries its own DoT.
     """
     http_flow_host: dict = {}
     connectivity_txns: set = set()
@@ -275,7 +274,7 @@ def attribute_background(
         elif cp.protocol.tag is _DO53:
             if cp.detail is not None and (cp.flow, cp.detail[:2]) in connectivity_txns:
                 tag = _CONNECTIVITY_DO53
-        elif cp.protocol.tag is _DOT and baseline_mode:
+        elif cp.protocol.tag is _DOT:
             if {cp.record.src_ip, cp.record.dst_ip} & SYSTEM_DNS_IPS:
                 tag = _SYSTEM_DOT
         tags.append(tag)

@@ -25,6 +25,7 @@ from appcap.analytics import (
     TooManyBins,
     tally,
     temporal_histogram,
+    timeline,
 )
 from appcap.classify import ProtoTag, classify_capture
 from appcap.dataset import CaptureLabel, truncate_packets
@@ -161,7 +162,7 @@ class TestPpm:
 class TestHistogram:
     def test_conservation(self):
         _, classified = classified_capture("bg", *BACKGROUND)
-        hist = temporal_histogram(classified)
+        hist = temporal_histogram(timeline(classified))
         totals = {
             "tcp_encrypted": 487,
             "dot": 17,
@@ -173,11 +174,11 @@ class TestHistogram:
 
     def test_five_minute_capture_bin_count(self):
         _, classified = classified_capture("bg", *BACKGROUND)
-        hist = temporal_histogram(classified)
+        hist = temporal_histogram(timeline(classified))
         assert hist.n_bins <= 30
 
     def test_single_packet(self):
-        hist = temporal_histogram([mk_classified(proto(ProtoTag.QUIC), ts_ns=5)])
+        hist = temporal_histogram(timeline([mk_classified(proto(ProtoTag.QUIC), ts_ns=5)]))
         assert hist.n_bins == 1
         assert hist.series["quic"] == [1]
 
@@ -186,14 +187,14 @@ class TestHistogram:
             mk_classified(proto(ProtoTag.TLS, TlsVersion.TLS1_3), ts_ns=int(t * 1e9))
             for t in [1, 11, 21, 31, 41, 299]
         ]
-        hist = temporal_histogram(packets)
+        hist = temporal_histogram(timeline(packets))
         series = hist.series["tcp_encrypted"]
         assert all(series[i] == 1 for i in range(5))
         assert all(series[i] == 0 for i in range(5, 29))
         assert series[29] == 1
 
     def test_empty(self):
-        hist = temporal_histogram([])
+        hist = temporal_histogram(timeline([]))
         assert hist.t0_ns is None
         assert hist.series == {}
 
@@ -202,10 +203,16 @@ class TestHistogram:
         # more needs one bin too many (a few MB of list if it were built).
         quic = proto(ProtoTag.QUIC)
         at_limit = [mk_classified(quic, ts_ns=7), mk_classified(quic, ts_ns=7 + MAX_BINS - 1)]
-        assert temporal_histogram(at_limit, bin_width_s=1e-9).n_bins == MAX_BINS
+        assert temporal_histogram(timeline(at_limit), bin_width_s=1e-9).n_bins == MAX_BINS
         over = [mk_classified(quic, ts_ns=7), mk_classified(quic, ts_ns=7 + MAX_BINS)]
         with pytest.raises(TooManyBins, match="1,000,001 bins"):
-            temporal_histogram(over, bin_width_s=1e-9)
+            temporal_histogram(timeline(over), bin_width_s=1e-9)
+
+    @pytest.mark.parametrize("width", [0, -1.0, 1e-12])
+    def test_bin_width_under_one_ns_is_a_value_error(self, width):
+        # 1e-12 s is positive but rounds to a 0 ns width.
+        with pytest.raises(ValueError, match="at least 1 ns"):
+            temporal_histogram(timeline([mk_classified(proto(ProtoTag.QUIC), ts_ns=5)]), bin_width_s=width)
 
     def test_non_app_data_excluded(self):
         packets = [
@@ -213,7 +220,7 @@ class TestHistogram:
                           payload=b"\x16"),
             mk_classified(proto(ProtoTag.TLS, TlsVersion.TLS1_3), ts_ns=1),
         ]
-        hist = temporal_histogram(packets)
+        hist = temporal_histogram(timeline(packets))
         assert sum(hist.series["tcp_encrypted"]) == 1
 
 
@@ -393,6 +400,10 @@ class TestTally:
             assert protocol_distribution(parts, scope) == protocol_distribution(whole, scope)
         assert encryption_breakdown(parts) == encryption_breakdown(whole)
         assert flow_graph(parts) == flow_graph(whole)
+        times = Counter()
+        for capture in range(5):
+            times.update(timeline(cp for cp, owner in zip(packets, owners) if owner == capture))
+        assert temporal_histogram(times) == temporal_histogram(timeline(packets))
 
         app_data = [cp for cp in packets if cp.is_app_data]
         for scope, scoped in ((Scope.ALL_PACKETS, packets), (Scope.APP_DATA_ONLY, app_data)):

@@ -25,6 +25,7 @@ import pytest
 from test_report_goldens import _GENERATED_AT, FIXTURE_NAMES, GOLDEN, _capture_stem, synthesize
 
 from appcap import cli
+from appcap.classify import ClassifiedPacket
 from appcap.cli import main
 from appcap.ingest import decode_stream, read_capture
 from appcap.reports import FEATURE_COLUMNS
@@ -202,6 +203,35 @@ def test_renderers_per_cpu_and_reaped_oldest_first(cpus, in_root, monkeypatch, c
     assert len(forked) == (chunks if cpus > 1 else 0)
     assert reaped == forked
     assert max(alive, default=0) == max(cpus - 2, 0)
+
+
+@pytest.mark.parametrize("cpus", (1, 2))
+@pytest.mark.parametrize("command, spied", [("analyze", "protocol_distribution"), ("keycov", "key_coverage")])
+def test_commands_hold_at_most_one_chunk_of_packets(command, spied, cpus, in_root, monkeypatch, capfd):
+    """Once the capture is classified, at most one chunk of its packets is alive."""
+    capture, keylog = _paths(FIXTURE_NAMES[1])
+    assert _frames(in_root, FIXTURE_NAMES[1]) > 10 * 100
+
+    def alive() -> int:
+        return sum(isinstance(obj, ClassifiedPacket) for obj in gc.get_objects())
+
+    seen: list[int] = []
+    real = getattr(cli, spied)
+
+    def spy(*args, **kwargs):
+        seen.append(alive())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, spied, spy)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "_CHUNK_FRAMES", 100)
+    argv = [command, capture, keylog] if command == "keycov" else [command, capture, "--csv", "held.csv"]
+    before = alive()
+    assert main([*argv, "--json", "held.json"]) == 0
+    assert_no_child_left()
+    capfd.readouterr()
+    assert len(seen) == 1
+    assert seen[0] - before <= 100
 
 
 def test_without_fork_renders_inline(in_root, monkeypatch, capfd):

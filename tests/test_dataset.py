@@ -258,14 +258,11 @@ class TestBackground:
                       payload=build_server_hello(bytes(32), selected_version=0x0304)),
         ]
         classified = classify_capture(records)
-        assert attribute_background(classified) == [BackgroundKind.NONE] * 2
-        assert attribute_background(classified, baseline_mode=True) == [
-            BackgroundKind.SYSTEM_DOT
-        ] * 2
+        assert attribute_background(classified) == [BackgroundKind.SYSTEM_DOT] * 2
 
     def test_dot_to_other_resolver_untagged_even_in_baseline(self):
         record = mk_record(dst_ip="1.1.1.1", dst_port=853, payload=build_client_hello(bytes(32)))
-        tags = attribute_background(classify_capture([record]), baseline_mode=True)
+        tags = attribute_background(classify_capture([record]))
         assert tags == [BackgroundKind.NONE]
 
     def test_tags_partition_packets(self):
@@ -275,7 +272,7 @@ class TestBackground:
                       payload=build_dns_query(7, "www.google.com")),
         ]
         classified = classify_capture(records)
-        tags = attribute_background(classified, baseline_mode=True)
+        tags = attribute_background(classified)
         assert len(tags) == len(classified)
 
     def test_request_host_parsing(self):

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from helpers import mk_classified, mk_record, proto
 
-from appcap.analytics import protocol_distribution, tally, temporal_histogram
+from appcap.analytics import protocol_distribution, tally, temporal_histogram, timeline
 from appcap.classify import FlowState, ProtoTag, classify_capture
 from appcap.dataset import (
     CaptureLabel,
@@ -137,7 +137,7 @@ def _build_packets(specs):
 @given(specs=packet_specs)
 def test_histogram_conservation(specs):
     packets = _build_packets(specs)
-    hist = temporal_histogram(packets)
+    hist = temporal_histogram(timeline(packets))
     expected = {}
     category = {
         ProtoTag.TLS: "tcp_encrypted",
