@@ -31,7 +31,6 @@ from .classify import (
     FlowState,
     FlowTable,
     ProtoTag,
-    classify_capture,
     detect_quic,
 )
 from .dataset import (

@@ -154,7 +154,6 @@ class FlowState:
     client_random: bytes | None = None
     last_protocol: AppProtocol | None = None
     buffers: dict[tuple[str, int], bytes] = field(default_factory=dict)
-    desync: dict[tuple[str, int], bool] = field(default_factory=dict)
 
     @property
     def tls_version(self) -> TlsVersion:
@@ -401,7 +400,7 @@ def _ingest_tls(
     truncation and desync reset it so the next packet re-syncs at its own
     segment boundary.
     """
-    buf = b"" if state.desync.get(sender) else state.buffers.get(sender, b"")
+    buf = state.buffers.get(sender, b"")
     data = buf + payload
     try:
         records, remainder = parse_tls_records(data)
@@ -409,8 +408,6 @@ def _ingest_tls(
         broke = False
     except NotTls:
         state.buffers[sender] = b""
-        if buf:
-            state.desync[sender] = True
         return False, [], False, None if buf else "Continuation"
     except Desync as exc:
         records = exc.records
@@ -420,12 +417,8 @@ def _ingest_tls(
 
     partial_app_data = bool(remainder) and remainder[0] == CONTENT_APPLICATION_DATA
 
-    if truncated or broke or len(remainder) > REASSEMBLY_CAP:
-        state.buffers[sender] = b""
-        state.desync[sender] = True
-    else:
-        state.buffers[sender] = remainder
-        state.desync[sender] = False
+    reset = truncated or broke or len(remainder) > REASSEMBLY_CAP
+    state.buffers[sender] = b"" if reset else remainder
     return True, records, partial_app_data, info
 
 
@@ -444,8 +437,3 @@ def _absorb_records(state: FlowState, records: list[TlsRecordView]) -> bool:
                 state.negotiated_tls = resolve_tls_version(None, view)
     return app_data
 
-
-def classify_capture(packets) -> list[ClassifiedPacket]:
-    """Classify a capture's packets in order with a fresh flow table."""
-    flows = FlowTable()
-    return [flows.classify(record) for record in packets]

@@ -20,8 +20,9 @@ import os
 import signal
 import sys
 import tempfile
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from pathlib import Path
+from typing import TypeVar
 
 from .analytics import (
     NoCommonApps,
@@ -81,6 +82,8 @@ EXIT_DOMAIN = 3
 EXIT_USAGE = 64
 
 OUTPUT_DIR_ENV = "APPCAP_OUTPUT_DIR"
+
+T = TypeVar("T")
 
 
 class _DomainError(Exception):
@@ -237,12 +240,15 @@ def _emit(args, envelope: dict) -> None:
         write_envelope(envelope, _resolve_out(args.json_path), sys.stdout)
 
 
-def _read_file(path: Path) -> tuple[CaptureStream, str]:
-    """A capture's framing and the SHA-256 of the bytes it was read from."""
-    import hashlib  # see reports._file_sha256
+def _read_file(path: Path, parse: Callable[[bytes], T]) -> tuple[T, str]:
+    """``parse`` of a file's bytes, read once, and the SHA-256 of those bytes."""
+    # hashlib loads OpenSSL, about 3.6 MB of resident memory, so it is
+    # imported only where bytes are hashed: the parent of a pool of dataset
+    # workers never loads it.
+    import hashlib
 
     data = path.read_bytes()
-    return read_capture(data), hashlib.sha256(data).hexdigest()
+    return parse(data), hashlib.sha256(data).hexdigest()
 
 
 # Frames decoded and classified per chunk; ``analyze`` renders each chunk's
@@ -271,7 +277,7 @@ def _capture_tally(path: Path, truncate_min: float | None) -> tuple[Tally, str]:
     """One capture's tally (with ``truncate_min``, of the packets that
     ``truncate_packets`` keeps) and digest, built one chunk at a time. Runs
     in a pool worker, so it takes and returns only small picklable values."""
-    stream, digest = _read_file(path)
+    stream, digest = _read_file(path, read_capture)
     return sum(map(tally, _classified(stream, FlowTable(), truncate_min)), Tally()), digest
 
 
@@ -318,7 +324,8 @@ def _fold_captures(
 
 
 def cmd_analyze(args) -> int:
-    stream, digest = _read_file(args.capture)
+    digests: dict[Path, str] = {}
+    stream, digests[args.capture] = _read_file(args.capture, read_capture)
     flows = FlowTable()
     counts, times = Tally(), Timeline()
     want_json, want_csv = args.json_path is not None, bool(args.csv_path)
@@ -332,12 +339,12 @@ def cmd_analyze(args) -> int:
         hist = temporal_histogram(times, bin_width_s=args.bins)
         body = {"distribution": distribution_json(dist), "histogram": histogram_json(hist)}
         if args.keylog is not None:
-            index = read_keylog(args.keylog)
+            index, digests[args.keylog] = _read_file(args.keylog, read_keylog)
             coverage = key_coverage(index, flows.states)
             body["coverage"] = coverage_json(coverage, index.malformed_lines)
         body["packets"] = renderer.table()
         inputs = [args.capture] + ([args.keylog] if args.keylog else [])
-        envelope = make_envelope("analyze", inputs, body, {args.capture: digest})
+        envelope = make_envelope("analyze", inputs, body, digests)
         if want_csv:
             write_table_csv(body["packets"], _resolve_out(args.csv_path))
         _emit(args, envelope)
@@ -516,13 +523,14 @@ def cmd_compare(args) -> int:
 
 
 def cmd_keycov(args) -> int:
-    stream, digest = _read_file(args.capture)
+    digests: dict[Path, str] = {}
+    stream, digests[args.capture] = _read_file(args.capture, read_capture)
     flows = FlowTable()
     collections.deque(_classified(stream, flows), maxlen=0)  # coverage reads only the flows' states
-    index = read_keylog(args.keylog)
+    index, digests[args.keylog] = _read_file(args.keylog, read_keylog)
     coverage = key_coverage(index, flows.states)
     body = {"coverage": coverage_json(coverage, index.malformed_lines)}
-    envelope = make_envelope("keycov", [args.capture, args.keylog], body, {args.capture: digest})
+    envelope = make_envelope("keycov", [args.capture, args.keylog], body, digests)
     _emit(args, envelope)
     if args.json_path is None:
         print(
@@ -533,7 +541,7 @@ def cmd_keycov(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    stream, digest = _read_file(args.capture)
+    stream, digest = _read_file(args.capture, read_capture)
     # One list: attribution makes two passes over the packets.
     classified = [cp for packets in _classified(stream, FlowTable()) for cp in packets]
     tags = attribute_background(classified)

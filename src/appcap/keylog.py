@@ -8,7 +8,6 @@ capture can be matched to their logged secrets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping, Sequence
 
 from .classify import FlowKey, FlowState
@@ -40,9 +39,9 @@ class KeyIndex:
         return client_random in self.by_random
 
 
-def read_keylog(path: Path) -> KeyIndex:
-    """Parse a key log file; bytes that are not UTF-8 spoil only their own line."""
-    return parse_keylog(path.read_bytes().decode("utf-8", errors="replace"))
+def read_keylog(data: bytes) -> KeyIndex:
+    """Parse a key log file's bytes; bytes that are not UTF-8 spoil only their own line."""
+    return parse_keylog(data.decode("utf-8", errors="replace"))
 
 
 def parse_keylog(text: str) -> KeyIndex:

@@ -37,26 +37,17 @@ REPORT_SCHEMA_VERSION = 1
 def make_envelope(
     command: str, inputs: Sequence[Path], body: dict, digests: Mapping[Path, str] | None = None
 ) -> dict:
-    """The report around ``body``; an input's SHA-256 comes from ``digests``
-    when the caller hashed the bytes it read, else from reading the file."""
+    """The report around ``body``; ``digests`` holds the SHA-256 of the
+    bytes the command read from each of ``inputs``."""
     digests = digests or {}
     return {
         "report_schema": REPORT_SCHEMA_VERSION,
         "tool_version": __version__,
         "command": command,
-        "inputs": [{"path": str(p), "sha256": digests.get(p) or _file_sha256(p)} for p in inputs],
+        "inputs": [{"path": str(p), "sha256": digests[p]} for p in inputs],
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "body": body,
     }
-
-
-def _file_sha256(path: Path) -> str:
-    # hashlib loads OpenSSL, about 3.6 MB of resident memory, so it is
-    # imported only where bytes are hashed: the parent of a pool of dataset
-    # workers never loads it.
-    import hashlib
-
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 _INDENT = "  "

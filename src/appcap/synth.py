@@ -22,7 +22,6 @@ from .ingest import (
     LINKTYPE_ETHERNET,
     LINKTYPE_SLL,
     LINKTYPE_SLL2,
-    PacketRecord,
     Transport,
 )
 from .keylog import KeyLogEntry, keylog_filename_for, render_keylog
@@ -181,18 +180,6 @@ def _parse_date(text, path: str) -> datetime:
         return datetime.strptime(text, DATE_FORMAT).replace(tzinfo=timezone.utc)
     except ValueError as exc:
         raise FixtureSpecError(path, f"must match {DATE_FORMAT}: {exc}") from exc
-
-
-def total_packets(profile: str, app_data_packets: int) -> int:
-    """On-the-wire packet count a flow spec produces.
-
-    Handshake-bearing profiles add their hello or long-header packets on top
-    of the app-data count; Ssl2 emits exactly ``app_data_packets`` handshake
-    records, which never classify as app data.
-    """
-    if profile in ("Tls12", "Tls13", "DoT", "QuicV1"):
-        return app_data_packets + 2
-    return app_data_packets
 
 
 # --- TLS wire builders -------------------------------------------------------
@@ -464,7 +451,6 @@ class CaptureResult:
     label: CaptureLabel
     pcap_bytes: bytes
     keylog_text: str
-    records: list[PacketRecord]  # what decoding the file must yield, in order
 
 
 def _derive_rng(seed: int, *parts) -> random.Random:
@@ -485,7 +471,7 @@ def build_capture(
     linktype = _LINKTYPES[spec.linktype]
     nanos = spec.ts_resolution == "ns"
 
-    staged = []  # (ts_ns, flow_index, k, frame_bytes, record)
+    staged = []  # (ts_ns, flow_index, k, frame_bytes)
     keylog_entries: list[KeyLogEntry] = []
     ident = 1
     for fi, flow in enumerate(capture.flows):
@@ -495,7 +481,6 @@ def build_capture(
         client = (CLIENT_IP, 40000 + fi)
         server = (plan.server_ip, plan.server_port)
         tcp = plan.transport is Transport.TCP
-        tcp_flags = _TCP_PSH_ACK if tcp else None
         ends = {True: (client, server), False: (server, client)}
         templates = {c2s: _HeaderTemplate(linktype, c2s, plan.transport, *ends[c2s]) for c2s in ends}
         seq = {True: 1000, False: 2000}
@@ -505,7 +490,6 @@ def build_capture(
                 ts_ns = t0_ns + round(offset_s * 1_000_000_000)
             else:
                 ts_ns = t0_ns + round(offset_s * 1_000_000) * 1000
-            src, dst = ends[c2s]
             if tcp:
                 ack = seq[not c2s] & 0xFFFFFFFF
                 frame = templates[c2s].frame(ident, payload, seq[c2s] & 0xFFFFFFFF, ack, _TCP_TAIL)
@@ -514,20 +498,12 @@ def build_capture(
                 frame = templates[c2s].frame(ident, payload, 8 + len(payload))
             # The IPv4 Identification field is 16 bits; wrap as stacks do.
             ident = (ident + 1) % 0x10000
-            record = PacketRecord(
-                ts_ns, 4, src[0], dst[0], src[1], dst[1], plan.transport, len(frame), payload, tcp_flags
-            )
-            staged.append((ts_ns, fi, k, frame, record))
+            staged.append((ts_ns, fi, k, frame))
 
-    # (ts_ns, flow_index, k) is unique, so the frames and records are never compared.
+    # (ts_ns, flow_index, k) is unique, so the frames are never compared.
     staged.sort()
-    pcap = write_pcap(linktype, nanos, [(ts, frame) for ts, _, _, frame, _ in staged])
-    return CaptureResult(
-        label=label,
-        pcap_bytes=pcap,
-        keylog_text=render_keylog(keylog_entries),
-        records=[record for _, _, _, _, record in staged],
-    )
+    pcap = write_pcap(linktype, nanos, [(ts, frame) for ts, _, _, frame in staged])
+    return CaptureResult(label=label, pcap_bytes=pcap, keylog_text=render_keylog(keylog_entries))
 
 
 def write_pcap(linktype: int, nanos: bool, frames: list[tuple[int, bytes]]) -> bytes:

@@ -207,6 +207,12 @@ def proto(tag: ProtoTag, version: TlsVersion | None = None) -> AppProtocol:
     return AppProtocol(tag, version)
 
 
+def classify_capture(packets) -> list[ClassifiedPacket]:
+    """Classify a capture's packets in order with a fresh flow table."""
+    flows = FlowTable()
+    return [flows.classify(record) for record in packets]
+
+
 def classify_with_states(records):
     """Classify records in order with one flow table; return packets and flow states."""
     flows = FlowTable()

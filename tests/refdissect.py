@@ -2,14 +2,23 @@
 
 No packet library is available in this environment, so this module plays the
 reference-dissector role: it decodes fields at explicit offsets taken from
-the protocol layout tables (SLL, IPv4, IPv6, TCP/UDP, TLS records and
-hellos), sharing no code with the package under test. Keep it dumb: offsets
+the protocol layout tables (Ethernet, SLL, SLL2, IPv4, IPv6, TCP/UDP, TLS
+records and hellos), sharing no code with the package under test. Keep it dumb: offsets
 and slices only, no loops that could hide an off-by-one in both codebases.
 """
 
 from __future__ import annotations
 
 import struct
+
+
+def ethernet_fields(frame: bytes) -> dict:
+    return {
+        "dst_mac": frame[0:6],
+        "src_mac": frame[6:12],
+        "protocol": int.from_bytes(frame[12:14], "big"),
+        "payload": frame[14:],
+    }
 
 
 def sll_fields(frame: bytes) -> dict:
@@ -19,6 +28,17 @@ def sll_fields(frame: bytes) -> dict:
         "addr_len": int.from_bytes(frame[4:6], "big"),
         "protocol": int.from_bytes(frame[14:16], "big"),
         "payload": frame[16:],
+    }
+
+
+def sll2_fields(frame: bytes) -> dict:
+    return {
+        "protocol": int.from_bytes(frame[0:2], "big"),
+        "ifindex": int.from_bytes(frame[4:8], "big"),
+        "arphrd": int.from_bytes(frame[8:10], "big"),
+        "packet_type": frame[10],
+        "addr_len": frame[11],
+        "payload": frame[20:],
     }
 
 

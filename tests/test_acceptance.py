@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
-from helpers import classify_with_states, mk_classified, mk_record, proto
+from helpers import classify_capture, classify_with_states, mk_classified, mk_record, proto
 from refdissect import server_hello_fields, tls_record_fields
 
 from appcap.analytics import (
@@ -27,7 +27,7 @@ from appcap.analytics import (
     quic_behavior_for,
     tally,
 )
-from appcap.classify import ProtoTag, classify_capture
+from appcap.classify import ProtoTag
 from appcap.dataset import CaptureLabel
 from appcap.cli import main
 from appcap.ingest import (

@@ -2,7 +2,7 @@ from collections import Counter
 from datetime import datetime, timezone
 
 import pytest
-from helpers import mk_classified, proto
+from helpers import classify_capture, mk_classified, proto
 from hypothesis import given
 from hypothesis import strategies as st
 from test_properties import MANY, _build_packets, packet_specs
@@ -27,8 +27,9 @@ from appcap.analytics import (
     temporal_histogram,
     timeline,
 )
-from appcap.classify import ProtoTag, classify_capture
+from appcap.classify import ProtoTag
 from appcap.dataset import CaptureLabel, truncate_packets
+from appcap.ingest import decode_stream, read_capture
 from appcap.synth import (
     CaptureSpec,
     FixtureSpec,
@@ -57,7 +58,7 @@ def flows(*specs: tuple[str, int]) -> CaptureSpec:
 def classified_capture(app: str, *specs: tuple[str, int], seed=0):
     spec = FixtureSpec(apps=(), seed=seed)
     result = build_capture(spec, app, 0, flows(*specs))
-    return result.label, classify_capture(result.records)
+    return result.label, classify_capture(decode_stream(read_capture(result.pcap_bytes)))
 
 
 def tallied_capture(app: str, *specs: tuple[str, int], seed=0):

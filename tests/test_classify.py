@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from helpers import mk_record
+from helpers import classify_capture, mk_record
 
 from appcap.classify import (
     QUIC_0RTT,
@@ -14,7 +14,6 @@ from appcap.classify import (
     FlowKey,
     FlowTable,
     ProtoTag,
-    classify_capture,
     detect_quic,
     dns_query_name,
 )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from importlib import resources
 from pathlib import Path
@@ -334,6 +335,35 @@ class TestKeycov:
         envelope = run_json(["keycov", str(capture), str(keylog)], tmp_path)
         assert envelope["body"]["coverage"]["keylog_malformed_lines"] == 1
         assert envelope["body"]["coverage"]["coverage_fraction"] == 1.0
+
+
+class TestInputDigests:
+    @pytest.mark.parametrize("command", ["analyze", "keycov"])
+    def test_keylog_read_once_and_hashed_as_parsed(self, background_dir, tmp_path, monkeypatch, command):
+        """The key log is read once, and its digest is of the bytes parsed,
+        even when the file grows after that read, as a log still being
+        written does."""
+        capture = next(background_dir.glob("*.pcap"))
+        keylog = tmp_path / "keys.txt"
+        keylog.write_bytes(next(background_dir.glob("sslkeylog_*.txt")).read_bytes())
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def read_then_grow(path):
+            data = read_bytes(path)
+            if path == keylog:
+                reads.append(data)
+                with keylog.open("ab") as fh:
+                    fh.write(b"a line written after the read\n")
+            return data
+
+        monkeypatch.setattr(Path, "read_bytes", read_then_grow)
+        flags = ["--keylog", str(keylog)] if command == "analyze" else [str(keylog)]
+        envelope = run_json([command, str(capture), *flags], tmp_path)
+        assert len(reads) == 1
+        digests = {entry["path"]: entry["sha256"] for entry in envelope["inputs"]}
+        assert digests[str(keylog)] == hashlib.sha256(reads[0]).hexdigest()
+        assert envelope["body"]["coverage"]["keylog_malformed_lines"] == 0
 
 
 class TestBaseline:

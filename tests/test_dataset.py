@@ -4,9 +4,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
-from helpers import mk_record
+from helpers import classify_capture, mk_record
 
-from appcap.classify import ProtoTag, classify_capture
+from appcap.classify import ProtoTag
 from appcap.dataset import (
     BackgroundKind,
     BadDate,

@@ -20,11 +20,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import refdescribe
-from helpers import mk_record
+from helpers import classify_capture, mk_record
 
 import appcap.classify
 import appcap.reports
-from appcap.classify import QUIC_V1, QUIC_V2, ProtoTag, classify_capture
+from appcap.classify import QUIC_V1, QUIC_V2, ProtoTag
 from appcap.ingest import Transport
 from appcap.reports import describe_packet, feature_rows
 from appcap.synth import (

@@ -18,12 +18,12 @@ import random
 from pathlib import Path
 
 import pytest
-from helpers import PCAP_MAGIC_NS_LE, eth, ip4, ip6, pcap_file, tcp, udp
+from helpers import PCAP_MAGIC_NS_LE, classify_capture, eth, ip4, ip6, pcap_file, tcp, udp
 from test_report_goldens import FIXTURE_NAMES, FIXTURES
 
 from appcap import cli, ingest
 from appcap.analytics import tally
-from appcap.classify import FlowTable, classify_capture
+from appcap.classify import FlowTable
 from appcap.cli import main
 from appcap.dataset import truncate_packets
 from appcap.ingest import decode_stream, read_capture

@@ -92,15 +92,13 @@ class TestParse:
         index = parse_keylog(f"CLIENT_RANDOM {'zz' * 32} 00ff\n")
         assert index.malformed_lines == 1
 
-    def test_undecodable_bytes_spoil_only_their_line(self, tmp_path):
+    def test_undecodable_bytes_spoil_only_their_line(self):
         good, bad_label = entry(4), entry(5)
-        path = tmp_path / "keys.txt"
-        path.write_bytes(
+        index = read_keylog(
             render_keylog([good]).encode()
             + b"CLIENT_RANDOM \xff\xfe zz\n"
             + render_keylog([bad_label]).replace(" ", "\xff ", 1).encode("latin-1")
         )
-        index = read_keylog(path)
         assert index.by_random == {good.client_random: [good]}
         assert index.malformed_lines == 2
 

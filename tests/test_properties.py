@@ -7,10 +7,10 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from helpers import mk_classified, mk_record, proto
+from helpers import classify_capture, mk_classified, mk_record, proto
 
 from appcap.analytics import protocol_distribution, tally, temporal_histogram, timeline
-from appcap.classify import FlowState, ProtoTag, classify_capture
+from appcap.classify import FlowState, ProtoTag
 from appcap.dataset import (
     CaptureLabel,
     parse_capture_filename,

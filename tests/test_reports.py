@@ -18,9 +18,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import mk_record
+from helpers import classify_capture, mk_record
 
-from appcap.classify import classify_capture
 from appcap.cli import main
 from appcap.ingest import Transport
 from appcap.reports import (

@@ -1,17 +1,18 @@
 import json
 import pickle
+import struct
 from collections import Counter
 
 import pytest
-from helpers import classify_with_states
+import refdissect
+from helpers import classify_capture, classify_with_states
 from test_analyze_pipeline import assert_no_child_left
 from test_parallel import _pool_sizes
 
 from appcap import dataset
-from appcap.classify import classify_capture
 from appcap.cli import main
 from appcap.dataset import parse_capture_filename, render_capture_filename, scan_directory
-from appcap.ingest import decode_stream, read_capture
+from appcap.ingest import Transport, decode_stream, read_capture
 from appcap.keylog import key_coverage, keylog_filename_for, parse_keylog
 from appcap.synth import (
     CaptureSpec,
@@ -21,7 +22,6 @@ from appcap.synth import (
     build_capture,
     parse_fixture_spec,
     synth_dataset,
-    total_packets,
 )
 
 SPEC_OBJ = {
@@ -54,6 +54,90 @@ def capture_for(*flow_specs: tuple[str, int], seed=1, linktype="sll", resolution
         ),
     )
     return build_capture(spec, "com.test.app", 0, capture)
+
+
+def decoded(result):
+    return decode_stream(read_capture(result.pcap_bytes))
+
+
+def total_packets(profile: str, app_data_packets: int) -> int:
+    """On-the-wire packet count a flow spec produces.
+
+    Handshake-bearing profiles add their hello or long-header packets on top
+    of the app-data count; Ssl2 emits exactly ``app_data_packets`` handshake
+    records, which never classify as app data.
+    """
+    if profile in ("Tls12", "Tls13", "DoT", "QuicV1"):
+        return app_data_packets + 2
+    return app_data_packets
+
+
+# Each profile's server endpoint and transport.
+SERVERS = {
+    "Tls12": (("203.0.113.10", 443), Transport.TCP),
+    "Tls13": (("203.0.113.10", 443), Transport.TCP),
+    "Ssl2": (("203.0.113.10", 443), Transport.TCP),
+    "UnknownSsl": (("203.0.113.10", 443), Transport.TCP),
+    "DoT": (("8.8.8.8", 853), Transport.TCP),
+    "QuicV1": (("203.0.113.20", 443), Transport.UDP),
+    "Do53": (("8.8.8.8", 53), Transport.UDP),
+    "ConnectivityHttp": (("203.0.113.80", 80), Transport.TCP),
+}
+LINK_FIELDS = {
+    "ethernet": refdissect.ethernet_fields,
+    "sll": refdissect.sll_fields,
+    "sll2": refdissect.sll2_fields,
+}
+
+
+def planned_packets(flow_specs, t0_ns: int, nanos: bool):
+    """(ts_ns, src, dst, transport) of every packet ``capture_for`` plans, in
+    capture order: flow i starts at i s and sends 25 packets/s from client
+    port 40000 + i, alternating client to server and back."""
+    planned = []
+    for i, (profile, n) in enumerate(flow_specs):
+        client = ("10.0.2.16", 40000 + i)
+        server, transport = SERVERS[profile]
+        for k in range(total_packets(profile, n)):
+            offset_s = i + k / 25
+            ts_ns = t0_ns + (round(offset_s * 1e9) if nanos else round(offset_s * 1e6) * 1000)
+            ends = (client, server) if k % 2 == 0 else (server, client)
+            planned.append((ts_ns, i, k, *ends, transport))
+    planned.sort()
+    return [(ts_ns, src, dst, transport) for ts_ns, _, _, src, dst, transport in planned]
+
+
+def assert_decodes_as_planned(flow_specs, linktype="sll", resolution="us"):
+    """Every decoded record matches the fields that ``refdissect`` reads off
+    its frame and the packet that the spec plans for that position."""
+    result = capture_for(*flow_specs, linktype=linktype, resolution=resolution)
+    frames = list(_pcap_frames(result.pcap_bytes))
+    records = decoded(result)
+    t0_ns = int(result.label.capture_date.timestamp()) * 1_000_000_000
+    planned = planned_packets(flow_specs, t0_ns, resolution == "ns")
+    assert len(records) == len(frames) == len(planned)
+    for record, (ts_ns, frame), (plan_ts, src, dst, transport) in zip(records, frames, planned):
+        link = LINK_FIELDS[linktype](frame)
+        assert link["protocol"] == 0x0800
+        ip = refdissect.ipv4_fields(link["payload"])
+        assert (ip["version"], ip["header_len"]) == (4, 20)
+        assert ip["total_len"] == len(link["payload"])
+        if transport is Transport.TCP:
+            assert ip["protocol"] == 6
+            l4 = refdissect.tcp_fields(ip["payload"])
+            assert l4["flags"] == 0x18 == record.tcp_flags
+        else:
+            assert ip["protocol"] == 17
+            l4 = refdissect.udp_fields(ip["payload"])
+            assert l4["length"] == len(ip["payload"])
+            assert record.tcp_flags is None
+        assert (ip["src"], l4["src_port"]) == src == (record.src_ip, record.src_port)
+        assert (ip["dst"], l4["dst_port"]) == dst == (record.dst_ip, record.dst_port)
+        assert record.transport is transport
+        assert record.payload == l4["payload"]
+        assert record.packet_len == len(frame)
+        assert record.ts_ns == ts_ns == plan_ts
+        assert record.ip_version == 4
 
 
 class TestSpecParsing:
@@ -112,15 +196,10 @@ class TestDeterminism:
 class TestRoundTrip:
     @pytest.mark.parametrize("linktype", ["ethernet", "sll", "sll2"])
     def test_decode_matches_plan(self, linktype):
-        result = capture_for(("Tls13", 4), ("Do53", 4), ("QuicV1", 4), linktype=linktype)
-        stream = read_capture(result.pcap_bytes)
-        records = decode_stream(stream)
-        assert records == result.records
+        assert_decodes_as_planned([("Tls13", 4), ("Do53", 4), ("QuicV1", 4)], linktype=linktype)
 
     def test_nanosecond_resolution(self):
-        result = capture_for(("Do53", 3), resolution="ns")
-        stream = read_capture(result.pcap_bytes)
-        assert decode_stream(stream) == result.records
+        assert_decodes_as_planned([("Do53", 3), ("Tls12", 3)], resolution="ns")
 
     def test_ipv4_ident_wraps_past_65535_packets(self):
         result = capture_for(("QuicV1", 70_000))
@@ -134,7 +213,7 @@ class TestRoundTrip:
 
     def test_microsecond_timestamps_divisible(self):
         result = capture_for(("Do53", 3))
-        assert all(r.ts_ns % 1000 == 0 for r in result.records)
+        assert all(r.ts_ns % 1000 == 0 for r in decoded(result))
 
     @pytest.mark.parametrize("linktype,ip_offset", [("ethernet", 14), ("sll", 16), ("sll2", 20)])
     def test_every_ipv4_header_checksum_verifies(self, linktype, ip_offset):
@@ -143,7 +222,7 @@ class TestRoundTrip:
         Identification field across its 65,535 -> 0 wrap."""
         result = capture_for(("Tls13", 32_000), ("QuicV1", 33_600), linktype=linktype)
         idents = set()
-        for frame in _pcap_frames(result.pcap_bytes):
+        for _, frame in _pcap_frames(result.pcap_bytes):
             header = frame[ip_offset : ip_offset + 20]
             assert header[0] == 0x45
             assert _ones_complement_sum(header) == 0xFFFF, header.hex()
@@ -152,11 +231,12 @@ class TestRoundTrip:
 
 
 def _pcap_frames(data: bytes):
-    """Each record's bytes of a little-endian classic pcap."""
+    """Each record's timestamp in ns and bytes, of a little-endian classic pcap."""
+    ns_per_unit = 1 if data[:4] == struct.pack("<I", 0xA1B23C4D) else 1000
     offset = 24
     while offset < len(data):
-        length = int.from_bytes(data[offset + 8 : offset + 12], "little")
-        yield data[offset + 16 : offset + 16 + length]
+        seconds, fraction, length = struct.unpack_from("<III", data, offset)
+        yield seconds * 1_000_000_000 + fraction * ns_per_unit, data[offset + 16 : offset + 16 + length]
         offset += 16 + length
 
 
@@ -183,7 +263,7 @@ class TestProfiles:
     @pytest.mark.parametrize("profile,expected", sorted(PROFILE_EXPECTATIONS.items()))
     def test_profiles_reclassify_exactly(self, profile, expected):
         result = capture_for((profile, 6))
-        classified = classify_capture(result.records)
+        classified = classify_capture(decoded(result))
         transport, category = expected
         counts = Counter((cp.record.transport.value, cp.protocol.category) for cp in classified)
         assert counts == {(transport, category): total_packets(profile, 6)}
@@ -191,21 +271,21 @@ class TestProfiles:
     @pytest.mark.parametrize("profile", sorted(PROFILE_EXPECTATIONS))
     def test_app_data_counts(self, profile):
         result = capture_for((profile, 6))
-        classified = classify_capture(result.records)
+        classified = classify_capture(decoded(result))
         app_data = sum(1 for cp in classified if cp.is_app_data)
         assert app_data == (0 if profile == "Ssl2" else 6)
 
     def test_tls13_keylog_contains_client_random(self):
         result = capture_for(("Tls13", 2))
         index = parse_keylog(result.keylog_text)
-        classified, states = classify_with_states(result.records)
+        classified, states = classify_with_states(decoded(result))
         report = key_coverage(index, states)
         assert report.flows_with_client_hello == 1
         assert report.coverage_fraction == 1.0
 
     def test_quic_profile_marks_long_and_short(self):
         result = capture_for(("QuicV1", 4))
-        classified = classify_capture(result.records)
+        classified = classify_capture(decoded(result))
         assert [cp.is_app_data for cp in classified] == [False, False, True, True, True, True]
 
 
