@@ -6,7 +6,7 @@ not packet lists. Tallies merge by addition, so per-capture work can run
 independently and merge deterministically: the sum of per-capture tallies
 gives the same results as one tally of all the packets. ``timeline`` does
 the same for ``temporal_histogram``: packet counts keyed by timestamp and
-series, which merge by addition too. Percentages are emitted for nonzero
+protocol, which merge by addition too. Percentages are emitted for nonzero
 categories only; display concerns like log scaling stay out of here.
 """
 
@@ -101,16 +101,14 @@ class TemporalHistogram:
         return max((len(s) for s in self.series.values()), default=0)
 
 
-# Packet counts keyed by (ts_ns, histogram series, or None for a packet in none).
+# Packet counts keyed by (ts_ns, ProtoTag of an app-data packet, or None).
 Timeline = Counter
 
 
 def timeline(packets: Iterable[ClassifiedPacket]) -> Timeline:
     """One pass over packets for ``temporal_histogram``: each app-data packet
     counts in its protocol's series, and every packet counts for the bins."""
-    return Counter(
-        (cp.record.ts_ns, _HIST_CATEGORY.get(cp.protocol.tag) if cp.is_app_data else None) for cp in packets
-    )
+    return Counter((cp.record.ts_ns, cp.protocol.tag if cp.is_app_data else None) for cp in packets)
 
 
 def temporal_histogram(times: Timeline, bin_width_s: float = 10.0) -> TemporalHistogram:
@@ -127,8 +125,8 @@ def temporal_histogram(times: Timeline, bin_width_s: float = 10.0) -> TemporalHi
     if n_bins > MAX_BINS:
         raise TooManyBins(f"a {bin_width_s:g} s bin width needs {n_bins:,} bins; the limit is {MAX_BINS:,}")
     series: dict[str, list[int]] = {}
-    for (ts, category), count in times.items():
-        if category is None:
+    for (ts, tag), count in times.items():
+        if (category := _HIST_CATEGORY.get(tag)) is None:
             continue
         idx = (ts - t0) // width_ns
         bins = series.setdefault(category, [])

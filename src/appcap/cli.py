@@ -41,7 +41,6 @@ from .analytics import (
 )
 from .classify import ClassifiedPacket, FlowTable
 from .dataset import (
-    BackgroundKind,
     CaptureLabel,
     DatasetManifest,
     ManifestEntry,
@@ -177,15 +176,22 @@ def build_parser() -> _Parser:
 
 
 def _output_flags(parser, csv: bool = True) -> None:
-    parser.add_argument("--json", dest="json_path", metavar="PATH", help="write report JSON ('-' for stdout)")
+    parser.add_argument(
+        "--json", dest="json_path", type=_json_path, metavar="PATH", help="write report JSON ('-' for stdout)"
+    )
     if csv:
         parser.add_argument("--csv", dest="csv_path", type=_csv_path, metavar="PATH")
 
 
+def _json_path(text: str) -> str:
+    """Argument type of --json, refused before any work: '-' or a file path."""
+    return text if text == "-" else _csv_path(text)
+
+
 def _csv_path(text: str) -> str:
-    """Argument type of --csv, refused before any work: a file path, not '-'."""
-    if text == "-":
-        raise argparse.ArgumentTypeError("needs a file path, not '-'")
+    """Argument type of --csv, refused before any work: a file path, not '-' or ''."""
+    if text in ("-", ""):
+        raise argparse.ArgumentTypeError(f"needs a file path, not {text!r}")
     return text
 
 
@@ -328,7 +334,7 @@ def cmd_analyze(args) -> int:
     stream, digests[args.capture] = _read_file(args.capture, read_capture)
     flows = FlowTable()
     counts, times = Tally(), Timeline()
-    want_json, want_csv = args.json_path is not None, bool(args.csv_path)
+    want_json, want_csv = args.json_path is not None, args.csv_path is not None
     with _TableRenderer(args.app_data_only, want_json, want_csv) as renderer:
         for packets in _classified(stream, flows):
             renderer.render(packets)
@@ -542,12 +548,9 @@ def cmd_keycov(args) -> int:
 
 def cmd_baseline(args) -> int:
     stream, digest = _read_file(args.capture, read_capture)
-    # One list: attribution makes two passes over the packets.
-    classified = [cp for packets in _classified(stream, FlowTable()) for cp in packets]
-    tags = attribute_background(classified)
-    tagged = [cp for cp, tag in zip(classified, tags) if tag is not BackgroundKind.NONE]
-    hist = temporal_histogram(timeline(tagged), bin_width_s=args.bins)
-    body = {"tags": background_json(tags), "histogram": histogram_json(hist)}
+    counts, times = attribute_background(cp for packets in _classified(stream, FlowTable()) for cp in packets)
+    hist = temporal_histogram(times, bin_width_s=args.bins)
+    body = {"tags": background_json(counts), "histogram": histogram_json(hist)}
     envelope = make_envelope("baseline", [args.capture], body, {args.capture: digest})
     _emit(args, envelope)
     if args.json_path is None:

@@ -12,6 +12,7 @@ import bisect
 import enum
 import os
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -212,6 +213,8 @@ class BackgroundKind(enum.Enum):
     SYSTEM_DOT = "SystemDot"
     NONE = "None"
 
+    __hash__ = object.__hash__  # identity, in C; see tlswire.TlsVersion
+
 
 _HTTP, _DO53, _DOT, _TCP = ProtoTag.HTTP, ProtoTag.DO53, ProtoTag.DOT, Transport.TCP
 _CONNECTIVITY_HTTP, _CONNECTIVITY_DO53, _SYSTEM_DOT, _NONE = BackgroundKind
@@ -238,44 +241,48 @@ def http_request_host(payload: bytes) -> str | None:
     return None
 
 
-def attribute_background(classified: Sequence[ClassifiedPacket]) -> list[BackgroundKind]:
-    """Tag each packet of a background capture with its cause; exactly one
-    tag per packet.
+def attribute_background(packets: Iterable[ClassifiedPacket]) -> tuple[Counter, Counter]:
+    """Packet counts by cause (one per packet) from one pass over a background
+    capture, and the timeline (as ``analytics.timeline``) of those with one.
 
     HTTP flows whose first request targets the connectivity-check host, Do53
     connectivity queries (plus their responses, matched by transaction id)
-    and DoT to Google's public resolvers (SystemDot) are attributed. The
-    capture is taken to hold background traffic only: an app capture
-    legitimately carries its own DoT.
+    and DoT to Google's public resolvers (SystemDot) are attributed: the
+    capture is taken to hold background traffic only. A flow's host or a
+    query's name can follow the packets it decides, so each packet that may
+    have a cause is counted under what decides it, and decided at the end.
     """
     http_flow_host: dict = {}
     connectivity_txns: set = set()
-    for cp in classified:
-        if cp.protocol.tag is _HTTP and cp.record.payload:
-            if cp.flow not in http_flow_host:
-                host = http_request_host(cp.record.payload)
-                if host is not None:
-                    http_flow_host[cp.flow] = host
-        elif cp.protocol.tag is _DO53 and cp.detail is not None:
+    pending, unattributable = {}, 0
+    for cp in packets:
+        tag, record, flow = cp.protocol.tag, cp.record, cp.flow
+        port_80 = record.transport is _TCP and 80 in (record.src_port, record.dst_port)
+        fact = None
+        if tag is _HTTP:
+            if record.payload and flow not in http_flow_host and (host := http_request_host(record.payload)):
+                http_flow_host[flow] = host
+        elif tag is _DO53:
             # The classifier's message; its first two bytes are the ID.
-            if dns_query_name(cp.detail) in CONNECTIVITY_DNS_NAMES:
-                connectivity_txns.add((cp.flow, cp.detail[:2]))
-
-    tags: list[BackgroundKind] = []
-    for cp in classified:
-        tag = _NONE
-        if cp.protocol.tag is _HTTP or (
-            cp.record.transport is _TCP
-            and 80 in (cp.record.src_port, cp.record.dst_port)
-            and cp.flow in http_flow_host
-        ):
-            if http_flow_host.get(cp.flow) == CONNECTIVITY_HTTP_HOST:
-                tag = _CONNECTIVITY_HTTP
-        elif cp.protocol.tag is _DO53:
-            if cp.detail is not None and (cp.flow, cp.detail[:2]) in connectivity_txns:
-                tag = _CONNECTIVITY_DO53
-        elif cp.protocol.tag is _DOT:
-            if {cp.record.src_ip, cp.record.dst_ip} & SYSTEM_DNS_IPS:
-                tag = _SYSTEM_DOT
-        tags.append(tag)
-    return tags
+            fact = cp.detail and cp.detail[:2]
+            if fact and dns_query_name(cp.detail) in CONNECTIVITY_DNS_NAMES:
+                connectivity_txns.add((flow, fact))
+        elif tag is _DOT:
+            fact = record.src_ip in SYSTEM_DNS_IPS or record.dst_ip in SYSTEM_DNS_IPS
+        elif not port_80:
+            unattributable += 1
+            continue
+        key = (flow, tag, port_80, fact), (record.ts_ns, tag if cp.is_app_data else None)
+        pending[key] = pending.get(key, 0) + 1
+    counts, times = Counter({_NONE: unattributable}), Counter()
+    for ((flow, tag, port_80, fact), stamp), n in pending.items():
+        if tag is _HTTP or (port_80 and flow in http_flow_host):
+            kind = _CONNECTIVITY_HTTP if http_flow_host.get(flow) == CONNECTIVITY_HTTP_HOST else _NONE
+        elif tag is _DO53:
+            kind = _CONNECTIVITY_DO53 if (flow, fact) in connectivity_txns else _NONE
+        else:
+            kind = _SYSTEM_DOT if tag is _DOT and fact else _NONE
+        counts[kind] += n
+        if kind is not _NONE:
+            times[stamp] += n
+    return counts, times

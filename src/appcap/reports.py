@@ -252,11 +252,8 @@ def comparison_json(report: ComparisonReport) -> dict:
     }
 
 
-def background_json(tags: Sequence[BackgroundKind]) -> dict:
-    counts = {kind.value: 0 for kind in BackgroundKind}
-    for tag in tags:
-        counts[tag.value] += 1
-    return counts
+def background_json(counts: Mapping[BackgroundKind, int]) -> dict:
+    return {kind.value: counts.get(kind, 0) for kind in BackgroundKind}
 
 
 _TLS, _DOT, _DO53, _HTTP, _QUIC = ProtoTag.TLS, ProtoTag.DOT, ProtoTag.DO53, ProtoTag.HTTP, ProtoTag.QUIC

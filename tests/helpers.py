@@ -9,7 +9,14 @@ from __future__ import annotations
 
 import struct
 
-from appcap.classify import AppProtocol, ClassifiedPacket, FlowKey, FlowTable, ProtoTag
+from appcap.classify import AppProtocol, ClassifiedPacket, FlowKey, FlowTable, ProtoTag, dns_query_name
+from appcap.dataset import (
+    CONNECTIVITY_DNS_NAMES,
+    CONNECTIVITY_HTTP_HOST,
+    SYSTEM_DNS_IPS,
+    BackgroundKind,
+    http_request_host,
+)
 from appcap.ingest import PacketRecord, RawFrame, Transport
 from appcap.tlswire import TlsVersion
 
@@ -146,7 +153,7 @@ def mk_record(
         packet_len = len(payload) + 54
     return PacketRecord(
         ts_ns=ts_ns,
-        ip_version=4,
+        ip_version=6 if ":" in src_ip else 4,
         src_ip=src_ip,
         dst_ip=dst_ip,
         src_port=src_port,
@@ -217,3 +224,40 @@ def classify_with_states(records):
     """Classify records in order with one flow table; return packets and flow states."""
     flows = FlowTable()
     return [flows.classify(r) for r in records], flows.states
+
+
+def attribute_background_two_pass(classified) -> list[BackgroundKind]:
+    """Reference for ``dataset.attribute_background``: one tag per packet,
+    from two passes over the list. The first finds each HTTP flow's host
+    (from its first request) and the connectivity DNS transactions; the
+    second tags each packet."""
+    http_flow_host: dict = {}
+    connectivity_txns: set = set()
+    for cp in classified:
+        if cp.protocol.tag is ProtoTag.HTTP and cp.record.payload:
+            if cp.flow not in http_flow_host:
+                host = http_request_host(cp.record.payload)
+                if host is not None:
+                    http_flow_host[cp.flow] = host
+        elif cp.protocol.tag is ProtoTag.DO53 and cp.detail is not None:
+            if dns_query_name(cp.detail) in CONNECTIVITY_DNS_NAMES:
+                connectivity_txns.add((cp.flow, cp.detail[:2]))
+
+    tags = []
+    for cp in classified:
+        tag = BackgroundKind.NONE
+        if cp.protocol.tag is ProtoTag.HTTP or (
+            cp.record.transport is Transport.TCP
+            and 80 in (cp.record.src_port, cp.record.dst_port)
+            and cp.flow in http_flow_host
+        ):
+            if http_flow_host.get(cp.flow) == CONNECTIVITY_HTTP_HOST:
+                tag = BackgroundKind.CONNECTIVITY_HTTP
+        elif cp.protocol.tag is ProtoTag.DO53:
+            if cp.detail is not None and (cp.flow, cp.detail[:2]) in connectivity_txns:
+                tag = BackgroundKind.CONNECTIVITY_DO53
+        elif cp.protocol.tag is ProtoTag.DOT:
+            if {cp.record.src_ip, cp.record.dst_ip} & SYSTEM_DNS_IPS:
+                tag = BackgroundKind.SYSTEM_DOT
+        tags.append(tag)
+    return tags

@@ -206,7 +206,10 @@ def test_renderers_per_cpu_and_reaped_oldest_first(cpus, in_root, monkeypatch, c
 
 
 @pytest.mark.parametrize("cpus", (1, 2))
-@pytest.mark.parametrize("command, spied", [("analyze", "protocol_distribution"), ("keycov", "key_coverage")])
+@pytest.mark.parametrize(
+    "command, spied",
+    [("analyze", "protocol_distribution"), ("keycov", "key_coverage"), ("baseline", "temporal_histogram")],
+)
 def test_commands_hold_at_most_one_chunk_of_packets(command, spied, cpus, in_root, monkeypatch, capfd):
     """Once the capture is classified, at most one chunk of its packets is alive."""
     capture, keylog = _paths(FIXTURE_NAMES[1])
@@ -225,7 +228,8 @@ def test_commands_hold_at_most_one_chunk_of_packets(command, spied, cpus, in_roo
     monkeypatch.setattr(cli, spied, spy)
     monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(cli, "_CHUNK_FRAMES", 100)
-    argv = [command, capture, keylog] if command == "keycov" else [command, capture, "--csv", "held.csv"]
+    argv = {"analyze": [command, capture, "--csv", "held.csv"], "keycov": [command, capture, keylog],
+            "baseline": [command, capture]}[command]
     before = alive()
     assert main([*argv, "--json", "held.json"]) == 0
     assert_no_child_left()

@@ -152,14 +152,16 @@ class TestFlagValues:
 
     @pytest.mark.parametrize("command", ["analyze", "stats", "compare"])
     def test_csv_to_stdout_refused_before_any_work(self, tmp_path, capsys, command):
-        # Nothing exists to read: the flag is refused before any input is opened.
+        # Nothing exists to read: the flag is refused before any input is
+        # opened. An empty path is refused the same way, for either output.
         absent = str(tmp_path / "absent")
         argv = {"analyze": ["analyze", absent + ".pcap"], "stats": ["dataset", "stats", absent],
                 "compare": ["compare", absent, absent]}[command]
-        with pytest.raises(SystemExit) as excinfo:
-            main([*argv, "--csv", "-"])
-        assert excinfo.value.code == 64
-        assert "argument --csv: needs a file path, not '-'" in capsys.readouterr().err
+        for flag, value in (("--csv", "-"), ("--csv", ""), ("--json", "")):
+            with pytest.raises(SystemExit) as excinfo:
+                main([*argv, flag, value])
+            assert excinfo.value.code == 64
+            assert f"argument {flag}: needs a file path, not {value!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["analyze", "baseline"])
     def test_too_many_bins_exit_64(self, tmp_path, capsys, command):

@@ -194,14 +194,21 @@ def http_flow(host: str, src_port=40000):
     ]
 
 
+def background(packets) -> tuple[dict, list[int]]:
+    """``attribute_background``'s nonzero counts by kind, and the timestamps
+    of the packets in its timeline."""
+    counts, times = attribute_background(packets)
+    return {kind: n for kind, n in counts.items() if n}, sorted(ts for ts, _ in times)
+
+
 class TestBackground:
     def test_connectivity_http_request_and_response(self):
-        tags = attribute_background(classify_capture(http_flow("connectivitycheck.gstatic.com")))
-        assert tags == [BackgroundKind.CONNECTIVITY_HTTP] * 2
+        result = background(classify_capture(http_flow("connectivitycheck.gstatic.com")))
+        assert result == ({BackgroundKind.CONNECTIVITY_HTTP: 2}, [0, 1])
 
     def test_http_to_other_host_untagged(self):
-        tags = attribute_background(classify_capture(http_flow("example.com")))
-        assert tags == [BackgroundKind.NONE] * 2
+        result = background(classify_capture(http_flow("example.com")))
+        assert result == ({BackgroundKind.NONE: 2}, [])
 
     def test_connectivity_dns_query_and_response(self):
         records = [
@@ -211,8 +218,8 @@ class TestBackground:
                       dst_ip="10.0.2.16", dst_port=40000,
                       payload=build_dns_response(42, "www.google.com")),
         ]
-        tags = attribute_background(classify_capture(records))
-        assert tags == [BackgroundKind.CONNECTIVITY_DO53] * 2
+        result = background(classify_capture(records))
+        assert result == ({BackgroundKind.CONNECTIVITY_DO53: 2}, [0, 1])
 
     def test_empty_do53_packet_stays_untagged(self):
         records = [
@@ -223,10 +230,10 @@ class TestBackground:
         ]
         classified = classify_capture(records)
         assert classified[1].protocol.tag is ProtoTag.DO53
-        assert attribute_background(classified) == [
-            BackgroundKind.CONNECTIVITY_DO53,
-            BackgroundKind.NONE,
-        ]
+        assert background(classified) == (
+            {BackgroundKind.CONNECTIVITY_DO53: 1, BackgroundKind.NONE: 1},
+            [0],
+        )
 
     def test_connectivity_dns_over_tcp(self):
         query = build_dns_query(9, "www.google.com")
@@ -237,20 +244,20 @@ class TestBackground:
             mk_record(ts_ns=1, src_ip="8.8.8.8", src_port=53, dst_ip="10.0.2.16",
                       dst_port=40000, payload=struct.pack(">H", len(response)) + response),
         ]
-        tags = attribute_background(classify_capture(records))
-        assert tags == [BackgroundKind.CONNECTIVITY_DO53] * 2
+        result = background(classify_capture(records))
+        assert result == ({BackgroundKind.CONNECTIVITY_DO53: 2}, [0, 1])
 
     def test_other_dns_query_untagged(self):
         record = mk_record(transport=Transport.UDP, dst_ip="8.8.8.8", dst_port=53,
                            payload=build_dns_query(1, "api.example.com"))
-        assert attribute_background(classify_capture([record])) == [BackgroundKind.NONE]
+        assert background(classify_capture([record])) == ({BackgroundKind.NONE: 1}, [])
 
     def test_tls_to_google_ip_untagged(self):
         record = mk_record(dst_ip="142.250.184.3", dst_port=443,
                            payload=build_client_hello(bytes(32)))
-        assert attribute_background(classify_capture([record])) == [BackgroundKind.NONE]
+        assert background(classify_capture([record])) == ({BackgroundKind.NONE: 1}, [])
 
-    def test_system_dot_only_in_baseline_mode(self):
+    def test_dot_to_system_resolver_is_system_dot(self):
         records = [
             mk_record(ts_ns=0, dst_ip="8.8.8.8", dst_port=853,
                       payload=build_client_hello(bytes(32), supported_versions=(0x0304,))),
@@ -258,12 +265,11 @@ class TestBackground:
                       payload=build_server_hello(bytes(32), selected_version=0x0304)),
         ]
         classified = classify_capture(records)
-        assert attribute_background(classified) == [BackgroundKind.SYSTEM_DOT] * 2
+        assert background(classified) == ({BackgroundKind.SYSTEM_DOT: 2}, [0, 1])
 
-    def test_dot_to_other_resolver_untagged_even_in_baseline(self):
+    def test_dot_to_other_resolver_untagged(self):
         record = mk_record(dst_ip="1.1.1.1", dst_port=853, payload=build_client_hello(bytes(32)))
-        tags = attribute_background(classify_capture([record]))
-        assert tags == [BackgroundKind.NONE]
+        assert background(classify_capture([record])) == ({BackgroundKind.NONE: 1}, [])
 
     def test_tags_partition_packets(self):
         records = http_flow("connectivitycheck.gstatic.com") + [
@@ -272,8 +278,16 @@ class TestBackground:
                       payload=build_dns_query(7, "www.google.com")),
         ]
         classified = classify_capture(records)
-        tags = attribute_background(classified)
-        assert len(tags) == len(classified)
+        counts, _ = attribute_background(classified)
+        assert sum(counts.values()) == len(classified)
+        assert background(classified) == (
+            {
+                BackgroundKind.CONNECTIVITY_HTTP: 2,
+                BackgroundKind.NONE: 1,
+                BackgroundKind.CONNECTIVITY_DO53: 1,
+            },
+            [0, 1, 11],
+        )
 
     def test_request_host_parsing(self):
         assert http_request_host(b"GET /gen HTTP/1.1\r\nHost: a.example.com\r\n\r\n") == "a.example.com"
