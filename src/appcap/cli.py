@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import dataclasses
 import functools
 import gc
@@ -189,8 +190,8 @@ def _json_path(text: str) -> str:
 
 
 def _csv_path(text: str) -> str:
-    """Argument type of --csv, refused before any work: a file path, not '-' or ''."""
-    if text in ("-", ""):
+    """Argument type of --csv, refused before any work: a file path, not '-', '' or a directory."""
+    if text in ("-", "") or _out_path(text).is_dir():
         raise argparse.ArgumentTypeError(f"needs a file path, not {text!r}")
     return text
 
@@ -230,13 +231,15 @@ def _run(args) -> int:
         return EXIT_IO
 
 
+def _out_path(text: str) -> Path:
+    """``text`` as a path; a relative one is under $APPCAP_OUTPUT_DIR when that is set."""
+    return Path(os.environ.get(OUTPUT_DIR_ENV, "")) / text
+
+
 def _resolve_out(path_text: str | None) -> Path | None:
     if path_text is None or path_text == "-":
         return None
-    path = Path(path_text)
-    base = os.environ.get(OUTPUT_DIR_ENV)
-    if base and not path.is_absolute():
-        path = Path(base) / path
+    path = _out_path(path_text)
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -362,50 +365,44 @@ def cmd_analyze(args) -> int:
 class _TableRenderer:
     """Renders ``analyze``'s packet table one chunk of packets at a time.
 
-    Each chunk's rows go to two unnamed temporary files, its pieces of the
-    table. A forked child renders them from the packets it inherits, while
-    the caller goes on classifying; at most one child per usable CPU but
-    one is alive, and the oldest is reaped first. With one usable CPU, or
-    without ``os.fork``, each chunk is rendered inline. A failed render
-    raises ``_RenderError``; on leaving the ``with`` block, children still
-    alive are killed and reaped and the pieces are closed.
+    Each chunk's rows are appended to one unnamed temporary file per
+    requested output, the same files for the whole command. A forked child
+    renders each chunk from the packets it inherits, while the caller goes
+    on classifying the next; the caller reaps it before forking the next
+    one, so at most one child is alive and the children append in chunk
+    order. With one usable CPU, or without ``os.fork``, each chunk is
+    rendered inline. A failed render raises ``_RenderError``; on leaving
+    the ``with`` block, a child still alive is killed and reaped and the
+    files are closed.
     """
 
     def __init__(self, app_data_only: bool, json: bool, csv: bool):
         self.app_data_only = app_data_only
-        self.json, self.csv = json, csv
-        self.slots = usable_cpus() - 1 if hasattr(os, "fork") else 0
-        self.json_pieces: list = []
-        self.csv_pieces: list = []
-        self.live: collections.deque[tuple[int, int]] = collections.deque()  # (pid, error pipe)
+        self.wanted = (json, csv)
+        self.fork = usable_cpus() > 1 and hasattr(os, "fork")
+        self.child: tuple[int, int] | None = None  # (pid, error pipe)
 
     def __enter__(self) -> _TableRenderer:
+        with contextlib.ExitStack() as stack:  # closes the JSON file if no CSV file can be made
+            self.files = [stack.enter_context(tempfile.TemporaryFile()) if on else None for on in self.wanted]
+            self.close_files = stack.pop_all().close
         return self
 
     def __exit__(self, *exc_info) -> None:
-        while self.live:
-            pid, error_pipe = self.live.popleft()
+        if self.child is not None:
+            pid, error_pipe = self.child
             os.close(error_pipe)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for piece in self.json_pieces + self.csv_pieces:
-            piece.close()
+        self.close_files()
 
     def render(self, packets: list[ClassifiedPacket]) -> None:
-        if not (self.json or self.csv):
+        if not any(self.wanted):
             return
-        json_piece = csv_piece = None
-        if self.json:
-            json_piece = tempfile.TemporaryFile()
-            self.json_pieces.append(json_piece)
-        if self.csv:
-            csv_piece = tempfile.TemporaryFile()
-            self.csv_pieces.append(csv_piece)
-        if self.slots < 1:
-            self._render(packets, json_piece, csv_piece)
+        if not self.fork:
+            self._render(packets)
             return
-        if len(self.live) >= self.slots:
-            self._reap()
+        self._reap()
         read_end, write_end = os.pipe()
         try:
             pid = os.fork()
@@ -417,30 +414,32 @@ class _TableRenderer:
             status = 1
             try:
                 os.close(read_end)
-                self._render(packets, json_piece, csv_piece)
+                self._render(packets)
                 status = 0
             except BaseException as exc:
                 os.write(write_end, str(exc).encode("utf-8", "replace")[:4096])
             finally:
                 os._exit(status)
         os.close(write_end)
-        self.live.append((pid, read_end))
+        self.child = (pid, read_end)
 
-    def _render(self, packets, json_piece, csv_piece) -> None:
-        """Write the rows of ``packets`` to the pieces that are not None."""
+    def _render(self, packets) -> None:
+        """Append the rows of ``packets`` to the table's files that are not None."""
         try:
             rows = feature_rows([cp for cp in packets if cp.is_app_data] if self.app_data_only else packets)
-            for piece, write in ((json_piece, write_feature_json), (csv_piece, write_feature_csv)):
-                if piece is not None:
-                    write(rows, piece)
-                    piece.flush()
+            for fh, write in zip(self.files, (write_feature_json, write_feature_csv)):
+                if fh is not None:
+                    write(rows, fh)
+                    fh.flush()
         except Exception as exc:
             raise _RenderError(f"cannot render the packet table: {exc}") from exc
 
     def _reap(self) -> None:
-        pid, error_pipe = self.live[0]
+        if self.child is None:
+            return
+        pid, error_pipe = self.child
         _, status = os.waitpid(pid, 0)
-        self.live.popleft()
+        self.child = None
         try:
             message = os.read(error_pipe, 4096).decode("utf-8", "replace")
         finally:
@@ -450,10 +449,9 @@ class _TableRenderer:
             raise _RenderError(message or f"cannot render the packet table: renderer exited with {code}")
 
     def table(self) -> PacketTable:
-        """The whole table, once every renderer has finished."""
-        while self.live:
-            self._reap()
-        return PacketTable(self.json_pieces, self.csv_pieces)
+        """The whole table, once the last child has finished."""
+        self._reap()
+        return PacketTable(*self.files)
 
 
 def _print_distribution(dist) -> None:

@@ -72,15 +72,18 @@ def _dumps(value, depth: int, tables: list[PacketTable]) -> str:
     A container whose items are all scalars goes to the C encoder in one
     call; Python walks only the containers above such ones. A ``PacketTable``
     renders as its brackets around ``_TABLE_MARK``, where ``write_envelope``
-    copies its pieces. Anything else (non-str keys, subclasses of the JSON
-    types, other objects) takes the stdlib's own path.
+    copies its JSON file, or as ``[]`` when that file holds no rows.
+    Anything else (non-str keys, subclasses of the JSON types, other
+    objects) takes the stdlib's own path.
     """
     kind = type(value)
     if kind is PacketTable:
         if depth != _TABLE_DEPTH:
             raise ValueError(f"a packet table is rendered for depth {_TABLE_DEPTH}, not {depth}")
         tables.append(value)
-        return f"[\n{_ROW_PAD}{_TABLE_MARK}\n{_INDENT * depth}]" if value.json_pieces else "[]"
+        if not value.json_file.seek(0, io.SEEK_END):
+            return "[]"
+        return f"[\n{_ROW_PAD}{_TABLE_MARK}\n{_INDENT * depth}]"
     if kind in _SCALAR_TYPES:
         return _flat_encoder(0)(value)
     if kind is dict and _STR_TYPE.issuperset(map(type, value)):
@@ -108,8 +111,8 @@ def _dumps(value, depth: int, tables: list[PacketTable]) -> str:
 def write_envelope(envelope: dict, path: Path | None, stream) -> None:
     """Write what ``json.dumps(envelope, indent=2, sort_keys=True)`` writes, plus a newline.
 
-    A ``PacketTable`` in the envelope is written as its pieces, copied in
-    order between the text around it.
+    A ``PacketTable`` in the envelope is written as its JSON file, copied
+    between the text around it.
     """
     tables: list[PacketTable] = []
     texts = (_dumps(envelope, 0, tables) + "\n").split(_TABLE_MARK)
@@ -124,16 +127,13 @@ def _write_report(texts: list[str], tables: list[PacketTable], write) -> None:
     # The text is ASCII: every string in it went through ``ensure_ascii``.
     write(texts[0].encode("ascii"))
     for table, text in zip(tables, texts[1:]):
-        for i, piece in enumerate(table.json_pieces):
-            if i:
-                write(_ROW_SEPARATOR.encode("ascii"))
-            _copy_piece(piece, write)
+        _copy_file(table.json_file, write)
         write(text.encode("ascii"))
 
 
-def _copy_piece(piece: BinaryIO, write) -> None:
-    piece.seek(0)
-    for block in iter(functools.partial(piece.read, 1 << 20), b""):
+def _copy_file(fh: BinaryIO, write) -> None:
+    fh.seek(0)
+    for block in iter(functools.partial(fh.read, 1 << 20), b""):
         write(block)
 
 
@@ -315,20 +315,19 @@ def feature_rows(classified: Sequence[ClassifiedPacket]) -> list[tuple]:
 
 
 class PacketTable:
-    """``analyze``'s packet table, rendered in pieces.
+    """``analyze``'s packet table, rendered into binary files.
 
-    Each piece is a binary file holding the rows of consecutive packets:
-    ``write_feature_json`` output in ``json_pieces`` and ``write_feature_csv``
-    output in ``csv_pieces``, in table order. A report holds the table as
-    its ``body.packets``; ``write_envelope`` and ``write_table_csv`` copy the
-    pieces into the files. Empty JSON pieces are dropped.
+    ``json_file`` holds ``write_feature_json`` output and ``csv_file``
+    ``write_feature_csv`` output, appended one chunk of rows at a time in
+    table order. A report holds the table as its ``body.packets``;
+    ``write_envelope`` and ``write_table_csv`` copy the files into the
+    outputs.
     """
 
-    __slots__ = ("json_pieces", "csv_pieces")
+    __slots__ = ("json_file", "csv_file")
 
-    def __init__(self, json_pieces: Sequence[BinaryIO] = (), csv_pieces: Sequence[BinaryIO] = ()):
-        self.json_pieces = [p for p in json_pieces if p.seek(0, io.SEEK_END)]
-        self.csv_pieces = list(csv_pieces)
+    def __init__(self, json_file: BinaryIO | None = None, csv_file: BinaryIO | None = None):
+        self.json_file, self.csv_file = json_file, csv_file
 
 
 # ``body.packets`` sits two levels deep in a report, so its rows are at depth
@@ -347,11 +346,15 @@ _CSV_HEADER = (",".join(FEATURE_COLUMNS) + "\r\n").encode("ascii")
 
 
 def write_feature_json(rows: Sequence[tuple], fh: BinaryIO) -> None:
-    """Write ``feature_rows`` output as a ``PacketTable`` JSON piece: the
+    """Append ``feature_rows`` output to a ``PacketTable`` JSON file: the
     rows' objects, keys sorted, joined by the table's separator, as
-    ``json.dumps`` of the report writes them. Strings go through the
-    encoder's own escaping and ints through ``int.__repr__``; ``app_data``
-    is the one bool."""
+    ``json.dumps`` of the report writes them, after a separator when the
+    file already holds rows. ``fh.tell()`` is the file's end: every writer
+    appends, forked ones at the offset they share with the parent. Strings
+    go through the encoder's own escaping and ints through
+    ``int.__repr__``; ``app_data`` is the one bool. No rows append nothing."""
+    if rows and fh.tell():
+        fh.write(_ROW_SEPARATOR.encode("ascii"))
     esc = encode_basestring_ascii
     json_bool = ("false", "true")
     fh.write(_ROW_SEPARATOR.join([
@@ -365,7 +368,7 @@ def write_feature_json(rows: Sequence[tuple], fh: BinaryIO) -> None:
 
 
 def write_feature_csv(rows: Sequence[tuple], fh: BinaryIO) -> None:
-    """Write ``feature_rows`` output as a ``PacketTable`` CSV piece: each
+    """Append ``feature_rows`` output to a ``PacketTable`` CSV file: each
     row's values in column order, encoded as ``open`` encodes text."""
     text = io.TextIOWrapper(fh, newline="")
     csv.writer(text).writerows(rows)
@@ -373,11 +376,10 @@ def write_feature_csv(rows: Sequence[tuple], fh: BinaryIO) -> None:
 
 
 def write_table_csv(table: PacketTable, path: Path) -> None:
-    """Write the table's CSV: a header, then the pieces in order."""
+    """Write the table's CSV: a header, then the rows of its CSV file."""
     with path.open("wb") as fh:
         fh.write(_CSV_HEADER)
-        for piece in table.csv_pieces:
-            _copy_piece(piece, fh.write)
+        _copy_file(table.csv_file, fh.write)
 
 
 COMPARE_COLUMNS = ["app", "ppm_a", "ppm_b", "ratio"]

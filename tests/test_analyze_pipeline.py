@@ -1,15 +1,16 @@
-"""``analyze`` renders its packet table in forked renderers while it classifies.
+"""``analyze`` renders its packet table in a forked renderer while it classifies.
 
 The capture is decoded and classified in chunks of ``cli._CHUNK_FRAMES``
-frames. Each chunk's rows are rendered by a forked child, at most one per
-usable CPU but one alive at a time, or inline on one CPU. These tests set
+frames. Each chunk's rows are appended to one temporary file per output by
+a forked child, one alive at a time, or inline on one CPU. These tests set
 the usable-CPU count to 1, 2 and 3 and the chunk size from 1 frame to more
 than the capture holds, and require the same report bytes (apart from
 ``generated_at``) and CSV bytes each time, equal to the pinned report
-goldens. They also require that a failed render or an unusable temporary
-directory exits 2 with a message, that capture errors still exit 3, that no
-child is left behind on any exit path, and that the cyclic GC is switched
-off for the command only.
+goldens. They also require that the open files stay as many however many
+chunks there are, that a failed render or an unusable temporary directory
+exits 2 with a message, that capture errors still exit 3, that no child is
+left behind on any exit path, and that the cyclic GC is switched off for
+the command only.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import gc
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -31,7 +34,7 @@ from appcap.ingest import decode_stream, read_capture
 from appcap.reports import FEATURE_COLUMNS
 
 CPU_COUNTS = (1, 2, 3)
-WHOLE = 10**9  # a chunk size larger than any capture here: one piece
+WHOLE = 10**9  # a chunk size larger than any capture here: one chunk
 # A fork of the test process costs milliseconds, so chunks of one frame run
 # on the first HEAD_FRAMES frames of the smallest fixture only.
 HEAD_FRAMES = 150
@@ -138,7 +141,7 @@ def test_one_piece_render_matches_the_goldens(name, in_root, monkeypatch, capfd)
 
 @pytest.mark.parametrize("flags", ["plain", "app-data"])
 def test_one_frame_chunks(flags, in_root, monkeypatch, capfd):
-    """Every chunk its own piece; with ``--app-data-only`` many pieces hold no row."""
+    """Every frame its own chunk; with ``--app-data-only`` many chunks hold no row."""
     name = "head"
     reference = _run(in_root, monkeypatch, capfd, name, flags, 1, WHOLE)
     rows = json.loads(reference[1])["body"]["packets"]
@@ -188,6 +191,8 @@ def _record_children(monkeypatch) -> tuple[list[int], list[int]]:
 
 @pytest.mark.parametrize("cpus", CPU_COUNTS)
 def test_renderers_per_cpu_and_reaped_oldest_first(cpus, in_root, monkeypatch, capfd):
+    """One child per chunk with 2 or more CPUs, none with one; the previous
+    child is reaped before each fork, so none is alive at any fork."""
     name = FIXTURE_NAMES[1]
     chunks = -(-_frames(in_root, name) // 100)
     alive: list[int] = []
@@ -202,7 +207,24 @@ def test_renderers_per_cpu_and_reaped_oldest_first(cpus, in_root, monkeypatch, c
     assert _run(in_root, monkeypatch, capfd, name, "plain", cpus, 100)[0] == 0
     assert len(forked) == (chunks if cpus > 1 else 0)
     assert reaped == forked
-    assert max(alive, default=0) == max(cpus - 2, 0)
+    assert alive == [0] * len(forked)
+
+
+@pytest.mark.parametrize("cpus", (1, 2))
+def test_open_files_do_not_grow_with_chunks(cpus, in_root, monkeypatch, capfd):
+    """150 one-frame chunks under a soft limit of 64 open files."""
+    reference = _run(in_root, monkeypatch, capfd, "head", "plain", 1, WHOLE)
+    script = (
+        "import resource, sys; from appcap import cli; "
+        "resource.setrlimit(resource.RLIMIT_NOFILE, (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1])); "
+        f"cli._CHUNK_FRAMES = 1; cli.usable_cpus = lambda: {cpus}; sys.exit(cli.main(sys.argv[1:]))"
+    )
+    argv = [sys.executable, "-c", script, "analyze", _paths("head")[0], "--json", "out.json", "--csv", "out.csv"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(argv, cwd=in_root, env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    report = _GENERATED_AT.sub(b'  "generated_at": "",', (in_root / "out.json").read_bytes())
+    assert (report, (in_root / "out.csv").read_bytes()) == reference[1:3]
 
 
 @pytest.mark.parametrize("cpus", (1, 2))

@@ -151,13 +151,19 @@ class TestFlagValues:
         assert "argument --truncate-min" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["analyze", "stats", "compare"])
-    def test_csv_to_stdout_refused_before_any_work(self, tmp_path, capsys, command):
+    def test_csv_to_stdout_refused_before_any_work(self, tmp_path, capsys, monkeypatch, command):
         # Nothing exists to read: the flag is refused before any input is
-        # opened. An empty path is refused the same way, for either output.
+        # opened. An empty path or a directory is refused the same way, for
+        # either output; a relative directory is looked up under
+        # $APPCAP_OUTPUT_DIR, where the output would go.
         absent = str(tmp_path / "absent")
         argv = {"analyze": ["analyze", absent + ".pcap"], "stats": ["dataset", "stats", absent],
                 "compare": ["compare", absent, absent]}[command]
-        for flag, value in (("--csv", "-"), ("--csv", ""), ("--json", "")):
+        (tmp_path / "reports").mkdir()
+        monkeypatch.setenv("APPCAP_OUTPUT_DIR", str(tmp_path))
+        values = [("--csv", "-"), ("--csv", ""), ("--json", "")]
+        values += [(flag, path) for flag in ("--csv", "--json") for path in (str(tmp_path), "reports")]
+        for flag, value in values:
             with pytest.raises(SystemExit) as excinfo:
                 main([*argv, flag, value])
             assert excinfo.value.code == 64

@@ -143,13 +143,12 @@ def nest(table, path):
     return table
 
 
-def json_table(pieces) -> PacketTable:
-    """A table whose JSON pieces hold ``pieces``' rows, one piece each."""
-    files = []
-    for rows in pieces:
-        files.append(io.BytesIO())
-        write_feature_json(rows, files[-1])
-    return PacketTable(files)
+def json_table(chunks) -> PacketTable:
+    """A table whose JSON file holds ``chunks``' rows, appended one chunk at a time."""
+    fh = io.BytesIO()
+    for rows in chunks:
+        write_feature_json(rows, fh)
+    return PacketTable(fh)
 
 
 # ``analyze`` puts its table two levels deep, as ``body.packets``.
@@ -158,9 +157,9 @@ def json_table(pieces) -> PacketTable:
     st.lists(st.lists(feature_row, max_size=3), max_size=4),
     st.lists(st.sampled_from(["dict", "list"]), min_size=2, max_size=2),
 )
-def test_feature_table_equals_json_dumps_of_row_dicts(pieces, path):
-    as_dicts = [dict(zip(FEATURE_COLUMNS, row)) for rows in pieces for row in rows]
-    assert_same_text(written_text(nest(json_table(pieces), path)), expected_text(nest(as_dicts, path)))
+def test_feature_table_equals_json_dumps_of_row_dicts(chunks, path):
+    as_dicts = [dict(zip(FEATURE_COLUMNS, row)) for rows in chunks for row in rows]
+    assert_same_text(written_text(nest(json_table(chunks), path)), expected_text(nest(as_dicts, path)))
 
 
 @pytest.mark.parametrize("depth", [0, 1, 3])
@@ -195,14 +194,12 @@ def test_feature_csv_equals_dict_writer(tmp_path):
         {**dict.fromkeys(FEATURE_COLUMNS, None), "app_data": False, "info": "é"},
     ]
     path = tmp_path / "rows.csv"
-    pieces = [tempfile.TemporaryFile() for _ in range(3)]
-    for piece, row in zip(pieces, [[], rows[:1], rows[1:]]):
-        write_feature_csv([tuple(r[column] for column in FEATURE_COLUMNS) for r in row], piece)
-    write_table_csv(PacketTable(csv_pieces=pieces), path)
+    with tempfile.TemporaryFile() as table_file:
+        for chunk in [[], rows[:1], [], rows[1:]]:
+            write_feature_csv([tuple(r[column] for column in FEATURE_COLUMNS) for r in chunk], table_file)
+        write_table_csv(PacketTable(csv_file=table_file), path)
     with path.open(newline="") as fh:
         assert_same_text(fh.read(), dict_writer_text(rows))
-    for piece in pieces:
-        piece.close()
 
 
 @pytest.fixture(scope="module")
