@@ -190,8 +190,11 @@ def _json_path(text: str) -> str:
 
 
 def _csv_path(text: str) -> str:
-    """Argument type of --csv, refused before any work: a file path, not '-', '' or a directory."""
-    if text in ("-", "") or _out_path(text).is_dir():
+    """Argument type of --csv, refused before any work: a file path, not '-',
+    '', a directory, or a path under a regular file."""
+    path = _out_path(text)
+    ancestor = next((p for p in path.parents if p.exists()), path.parent)
+    if text in ("-", "") or path.is_dir() or not ancestor.is_dir():
         raise argparse.ArgumentTypeError(f"needs a file path, not {text!r}")
     return text
 
@@ -199,6 +202,10 @@ def _csv_path(text: str) -> str:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    json_path, csv_path = getattr(args, "json_path", None), getattr(args, "csv_path", None)
+    if json_path not in (None, "-") and csv_path is not None:
+        if _out_path(json_path).resolve() == _out_path(csv_path).resolve():
+            parser.error(f"--json and --csv name the same file: {csv_path!r}")
     # Per-packet objects hold no reference cycles, so the cyclic GC would
     # only walk them; in ``analyze`` it would also write to pages that the
     # table's renderers share.
@@ -217,10 +224,7 @@ def _run(args) -> int:
     except CaptureError as exc:
         print(f"appcap: cannot parse capture: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except NoCommonApps as exc:
-        print(f"appcap: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except _DomainError as exc:
+    except (NoCommonApps, _DomainError) as exc:
         print(f"appcap: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except TooManyBins as exc:

@@ -342,7 +342,6 @@ _ROW_TEMPLATE = "{%s\n%s}" % (
     ",".join(f"\n{_ROW_PAD}{_INDENT}{encode_basestring_ascii(c)}: %s" for c in sorted(FEATURE_COLUMNS)),
     _ROW_PAD,
 )
-_CSV_HEADER = (",".join(FEATURE_COLUMNS) + "\r\n").encode("ascii")
 
 
 def write_feature_json(rows: Sequence[tuple], fh: BinaryIO) -> None:
@@ -367,18 +366,23 @@ def write_feature_json(rows: Sequence[tuple], fh: BinaryIO) -> None:
     ]).encode("ascii"))
 
 
-def write_feature_csv(rows: Sequence[tuple], fh: BinaryIO) -> None:
-    """Append ``feature_rows`` output to a ``PacketTable`` CSV file: each
-    row's values in column order, encoded as ``open`` encodes text."""
-    text = io.TextIOWrapper(fh, newline="")
+def _csv_bytes(rows) -> bytes:
+    """``rows`` as ``csv.writer`` writes them, in UTF-8 whatever the locale; a file
+    name's bytes that are not UTF-8 (decoded to surrogate escapes) are written as they were."""
+    text = io.StringIO(newline="")
     csv.writer(text).writerows(rows)
-    text.detach()
+    return text.getvalue().encode("utf-8", "surrogateescape")
+
+
+def write_feature_csv(rows: Sequence[tuple], fh: BinaryIO) -> None:
+    """Append ``feature_rows`` output to a ``PacketTable`` CSV file."""
+    fh.write(_csv_bytes(rows))
 
 
 def write_table_csv(table: PacketTable, path: Path) -> None:
     """Write the table's CSV: a header, then the rows of its CSV file."""
     with path.open("wb") as fh:
-        fh.write(_CSV_HEADER)
+        fh.write(_csv_bytes([FEATURE_COLUMNS]))
         _copy_file(table.csv_file, fh.write)
 
 
@@ -386,27 +390,17 @@ COMPARE_COLUMNS = ["app", "ppm_a", "ppm_b", "ratio"]
 
 
 def write_compare_csv(report: ComparisonReport, path: Path) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COMPARE_COLUMNS)
-        for row in report.ppm_rows:
-            ratio = row.ratio_b_over_a
-            writer.writerow(
-                [
-                    row.app_name,
-                    f"{row.ppm_a:.3f}",
-                    f"{row.ppm_b:.3f}",
-                    f"{ratio:.4f}" if ratio is not None else "",
-                ]
-            )
+    rows = [
+        [r.app_name, f"{r.ppm_a:.3f}", f"{r.ppm_b:.3f}",
+         f"{r.ratio_b_over_a:.4f}" if r.ratio_b_over_a is not None else ""]
+        for r in report.ppm_rows
+    ]
+    path.write_bytes(_csv_bytes([COMPARE_COLUMNS, *rows]))
 
 
 STATS_COLUMNS = ["app", "captures", "mean_ppm"]
 
 
 def write_stats_csv(records: Sequence[PpmRecord], path: Path) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(STATS_COLUMNS)
-        for r in records:
-            writer.writerow([r.app_name, r.captures_used, f"{r.mean_ppm:.3f}"])
+    rows = [[r.app_name, r.captures_used, f"{r.mean_ppm:.3f}"] for r in records]
+    path.write_bytes(_csv_bytes([STATS_COLUMNS, *rows]))

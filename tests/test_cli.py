@@ -153,21 +153,38 @@ class TestFlagValues:
     @pytest.mark.parametrize("command", ["analyze", "stats", "compare"])
     def test_csv_to_stdout_refused_before_any_work(self, tmp_path, capsys, monkeypatch, command):
         # Nothing exists to read: the flag is refused before any input is
-        # opened. An empty path or a directory is refused the same way, for
-        # either output; a relative directory is looked up under
-        # $APPCAP_OUTPUT_DIR, where the output would go.
+        # opened. An empty path, a directory or a path under a regular file
+        # is refused the same way, for either output; a relative path is
+        # looked up under $APPCAP_OUTPUT_DIR, where the output would go.
         absent = str(tmp_path / "absent")
         argv = {"analyze": ["analyze", absent + ".pcap"], "stats": ["dataset", "stats", absent],
                 "compare": ["compare", absent, absent]}[command]
         (tmp_path / "reports").mkdir()
+        (tmp_path / "afile").write_bytes(b"")
         monkeypatch.setenv("APPCAP_OUTPUT_DIR", str(tmp_path))
         values = [("--csv", "-"), ("--csv", ""), ("--json", "")]
-        values += [(flag, path) for flag in ("--csv", "--json") for path in (str(tmp_path), "reports")]
+        not_files = (str(tmp_path), "reports", "afile/out.json", str(tmp_path / "afile" / "sub" / "out.json"))
+        values += [(flag, path) for flag in ("--csv", "--json") for path in not_files]
         for flag, value in values:
             with pytest.raises(SystemExit) as excinfo:
                 main([*argv, flag, value])
             assert excinfo.value.code == 64
             assert f"argument {flag}: needs a file path, not {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "stats"])
+    def test_json_and_csv_to_one_file_refused_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        # Without the check, the JSON would silently replace the CSV. The
+        # paths are compared once resolved, under $APPCAP_OUTPUT_DIR.
+        absent = str(tmp_path / "absent")
+        argv = {"analyze": ["analyze", absent + ".pcap"], "stats": ["dataset", "stats", absent]}[command]
+        monkeypatch.setenv("APPCAP_OUTPUT_DIR", str(tmp_path))
+        for json_path, csv_path in [("same.out", "same.out"), ("./same.out", "same.out"),
+                                    (str(tmp_path / "same.out"), "sub/../same.out")]:
+            with pytest.raises(SystemExit) as excinfo:
+                main([*argv, "--json", json_path, "--csv", csv_path])
+            assert excinfo.value.code == 64
+            assert f"--json and --csv name the same file: {csv_path!r}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["analyze", "baseline"])
     def test_too_many_bins_exit_64(self, tmp_path, capsys, command):

@@ -3,7 +3,8 @@
 ``write_envelope`` must write exactly ``json.dumps(envelope, indent=2,
 sort_keys=True) + "\\n"``, with a ``PacketTable`` written as the rows it
 holds, and ``write_table_csv`` exactly what ``csv.DictWriter`` writes, for
-every tree and row the CLI can produce.
+every tree and row the CLI can produce. Every CSV is UTF-8 whatever the
+locale, with a file name's own bytes.
 """
 
 import csv
@@ -11,6 +12,9 @@ import enum
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -18,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import classify_capture, mk_record
+from helpers import classify_capture, eth, ip4, mk_record, pcap_file, tcp
 
 from appcap.cli import main
 from appcap.ingest import Transport
@@ -198,7 +202,7 @@ def test_feature_csv_equals_dict_writer(tmp_path):
         for chunk in [[], rows[:1], [], rows[1:]]:
             write_feature_csv([tuple(r[column] for column in FEATURE_COLUMNS) for r in chunk], table_file)
         write_table_csv(PacketTable(csv_file=table_file), path)
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8") as fh:
         assert_same_text(fh.read(), dict_writer_text(rows))
 
 
@@ -241,8 +245,62 @@ def test_analyze_csv_equals_dict_writer_on_fixture(fixture_dirs, tmp_path):
     assert main(["analyze", str(capture), "--json", str(out_json), "--csv", str(out_csv)]) == 0
     rows = json.loads(out_json.read_text())["body"]["packets"]
     assert rows
-    with out_csv.open(newline="") as fh:
+    with out_csv.open(newline="", encoding="utf-8") as fh:
         assert_same_text(fh.read(), dict_writer_text(rows))
+
+
+LOCALES = {
+    "utf8": {"LC_ALL": "C.UTF-8"},
+    "ascii": {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+}
+# One HTTP request whose line is not ASCII: ``info`` holds two U+FFFD.
+NON_ASCII_GET = b"GET /caf\xc3\xa9 HTTP/1.1\r\nHost: example.com\r\n\r\n"
+CAPTURE = pcap_file([(1, 0, eth(ip4(tcp(NON_ASCII_GET, dport=80), proto=6)))])
+LATIN1_NAME = b"com.caf\xe9_20250101T000000Z_60.pcap"
+UTF8_NAME = "com.café_20250101T000000Z_60.pcap".encode()
+
+
+def run_in_locale(argv, cwd: Path, locale: str) -> None:
+    """Run the CLI in a fresh interpreter under ``locale``: exit 0, nothing on stderr."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **LOCALES[locale]}
+    done = subprocess.run([sys.executable, "-m", "appcap.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, b""), (locale, argv)
+
+
+@pytest.mark.parametrize(
+    "name, argv, line",
+    [
+        ("capture.pcap", ["analyze", "a/capture.pcap"],
+         b"1000000000,10.0.2.16,40000,8.8.8.8,80,TCP,HTTP,GET /caf\xef\xbf\xbd\xef\xbf\xbd HTTP/1.1,True,"),
+        (LATIN1_NAME, ["dataset", "stats", "a"], b"com.caf\xe9,1,1.000\r\n"),
+        (LATIN1_NAME, ["compare", "a", "b"], b"com.caf\xe9,1.000,1.000,1.0000\r\n"),
+        (UTF8_NAME, ["dataset", "stats", "a"], b"com.caf\xc3\xa9,1,1.000\r\n"),
+        (UTF8_NAME, ["compare", "a", "b"], b"com.caf\xc3\xa9,1.000,1.000,1.0000\r\n"),
+    ],
+    ids=["analyze-http", "stats-latin1", "compare-latin1", "stats-utf8", "compare-utf8"],
+)
+def test_csv_bytes_do_not_depend_on_the_locale(tmp_path, name, argv, line):
+    # The names are made as bytes, so this test runs under any locale.
+    for directory in (b"a", b"b"):
+        os.mkdir(os.path.join(os.fsencode(tmp_path), directory))
+        with open(os.path.join(os.fsencode(tmp_path), directory, os.fsencode(name)), "wb") as fh:
+            fh.write(CAPTURE)
+    outputs = {}
+    for locale in LOCALES:
+        run_in_locale([*argv, "--csv", f"{locale}.csv"], tmp_path, locale)
+        outputs[locale] = (tmp_path / f"{locale}.csv").read_bytes()
+    assert outputs["utf8"] == outputs["ascii"]
+    assert line in outputs["utf8"]
+
+
+def test_latin1_name_in_stats_json(tmp_path):
+    os.mkdir(tmp_path / "a")
+    with open(os.path.join(os.fsencode(tmp_path), b"a", LATIN1_NAME), "wb") as fh:
+        fh.write(CAPTURE)
+    for locale in LOCALES:
+        run_in_locale(["dataset", "stats", "a", "--json", f"{locale}.json"], tmp_path, locale)
+        assert json.loads((tmp_path / f"{locale}.json").read_text())["body"]["ppm"][0]["captures_used"] == 1
 
 
 def test_dns_info_reads_the_classifier_message():
