@@ -18,7 +18,6 @@ import gc
 import json
 import math
 import os
-import signal
 import sys
 import tempfile
 from collections.abc import Callable, Iterator
@@ -52,7 +51,6 @@ from .dataset import (
     # imports, still finds the boundary dataset.truncate_s is read off.
     truncate_packets,  # noqa: F401
     truncation_cutoff,
-    usable_cpus,
 )
 from .ingest import CaptureError, CaptureStream, PacketRecord, decode_stream, read_capture
 from .keylog import key_coverage, read_keylog
@@ -207,8 +205,7 @@ def main(argv=None) -> int:
         if _out_path(json_path).resolve() == _out_path(csv_path).resolve():
             parser.error(f"--json and --csv name the same file: {csv_path!r}")
     # Per-packet objects hold no reference cycles, so the cyclic GC would
-    # only walk them; in ``analyze`` it would also write to pages that the
-    # table's renderers share.
+    # only walk them.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -265,7 +262,7 @@ def _read_file(path: Path, parse: Callable[[bytes], T]) -> tuple[T, str]:
 
 
 # Frames decoded and classified per chunk; ``analyze`` renders each chunk's
-# rows while the next chunk is classified.
+# rows before the next chunk is decoded.
 _CHUNK_FRAMES = 4096
 
 
@@ -339,12 +336,18 @@ def _fold_captures(
 def cmd_analyze(args) -> int:
     digests: dict[Path, str] = {}
     stream, digests[args.capture] = _read_file(args.capture, read_capture)
+    if args.keylog is not None:
+        index, digests[args.keylog] = _read_file(args.keylog, read_keylog)
     flows = FlowTable()
     counts, times = Tally(), Timeline()
-    want_json, want_csv = args.json_path is not None, args.csv_path is not None
-    with _TableRenderer(args.app_data_only, want_json, want_csv) as renderer:
+    with contextlib.ExitStack() as stack:
+        # One unnamed temporary file per requested output, for the whole command.
+        table = PacketTable(*(
+            stack.enter_context(tempfile.TemporaryFile()) if path is not None else None
+            for path in (args.json_path, args.csv_path)
+        ))
         for packets in _classified(stream, flows):
-            renderer.render(packets)
+            _render(packets, table, args.app_data_only)
             counts.update(tally(packets))
             times.update(timeline(packets))
         scope = Scope.APP_DATA_ONLY if args.app_data_only else Scope.ALL_PACKETS
@@ -352,110 +355,31 @@ def cmd_analyze(args) -> int:
         hist = temporal_histogram(times, bin_width_s=args.bins)
         body = {"distribution": distribution_json(dist), "histogram": histogram_json(hist)}
         if args.keylog is not None:
-            index, digests[args.keylog] = _read_file(args.keylog, read_keylog)
             coverage = key_coverage(index, flows.states)
             body["coverage"] = coverage_json(coverage, index.malformed_lines)
-        body["packets"] = renderer.table()
+        body["packets"] = table
         inputs = [args.capture] + ([args.keylog] if args.keylog else [])
         envelope = make_envelope("analyze", inputs, body, digests)
-        if want_csv:
-            write_table_csv(body["packets"], _resolve_out(args.csv_path))
+        if args.csv_path is not None:
+            write_table_csv(table, _resolve_out(args.csv_path))
         _emit(args, envelope)
     if args.json_path is None:
         _print_distribution(dist)
     return EXIT_OK
 
 
-class _TableRenderer:
-    """Renders ``analyze``'s packet table one chunk of packets at a time.
-
-    Each chunk's rows are appended to one unnamed temporary file per
-    requested output, the same files for the whole command. A forked child
-    renders each chunk from the packets it inherits, while the caller goes
-    on classifying the next; the caller reaps it before forking the next
-    one, so at most one child is alive and the children append in chunk
-    order. With one usable CPU, or without ``os.fork``, each chunk is
-    rendered inline. A failed render raises ``_RenderError``; on leaving
-    the ``with`` block, a child still alive is killed and reaped and the
-    files are closed.
-    """
-
-    def __init__(self, app_data_only: bool, json: bool, csv: bool):
-        self.app_data_only = app_data_only
-        self.wanted = (json, csv)
-        self.fork = usable_cpus() > 1 and hasattr(os, "fork")
-        self.child: tuple[int, int] | None = None  # (pid, error pipe)
-
-    def __enter__(self) -> _TableRenderer:
-        with contextlib.ExitStack() as stack:  # closes the JSON file if no CSV file can be made
-            self.files = [stack.enter_context(tempfile.TemporaryFile()) if on else None for on in self.wanted]
-            self.close_files = stack.pop_all().close
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self.child is not None:
-            pid, error_pipe = self.child
-            os.close(error_pipe)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        self.close_files()
-
-    def render(self, packets: list[ClassifiedPacket]) -> None:
-        if not any(self.wanted):
-            return
-        if not self.fork:
-            self._render(packets)
-            return
-        self._reap()
-        read_end, write_end = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_end)
-            os.close(write_end)
-            raise
-        if pid == 0:  # the renderer: report a failure on the pipe, and never return
-            status = 1
-            try:
-                os.close(read_end)
-                self._render(packets)
-                status = 0
-            except BaseException as exc:
-                os.write(write_end, str(exc).encode("utf-8", "replace")[:4096])
-            finally:
-                os._exit(status)
-        os.close(write_end)
-        self.child = (pid, read_end)
-
-    def _render(self, packets) -> None:
-        """Append the rows of ``packets`` to the table's files that are not None."""
-        try:
-            rows = feature_rows([cp for cp in packets if cp.is_app_data] if self.app_data_only else packets)
-            for fh, write in zip(self.files, (write_feature_json, write_feature_csv)):
-                if fh is not None:
-                    write(rows, fh)
-                    fh.flush()
-        except Exception as exc:
-            raise _RenderError(f"cannot render the packet table: {exc}") from exc
-
-    def _reap(self) -> None:
-        if self.child is None:
-            return
-        pid, error_pipe = self.child
-        _, status = os.waitpid(pid, 0)
-        self.child = None
-        try:
-            message = os.read(error_pipe, 4096).decode("utf-8", "replace")
-        finally:
-            os.close(error_pipe)
-        code = os.waitstatus_to_exitcode(status)
-        if code != 0:
-            raise _RenderError(message or f"cannot render the packet table: renderer exited with {code}")
-
-    def table(self) -> PacketTable:
-        """The whole table, once the last child has finished."""
-        self._reap()
-        return PacketTable(*self.files)
+def _render(packets: list[ClassifiedPacket], table: PacketTable, app_data_only: bool) -> None:
+    """Append the rows of ``packets`` to the table's files that are not None."""
+    if table.json_file is None and table.csv_file is None:
+        return
+    try:
+        rows = feature_rows([cp for cp in packets if cp.is_app_data] if app_data_only else packets)
+        for fh, write in ((table.json_file, write_feature_json), (table.csv_file, write_feature_csv)):
+            if fh is not None:
+                write(rows, fh)
+                fh.flush()  # a full disk fails here, before any output is opened
+    except Exception as exc:
+        raise _RenderError(f"cannot render the packet table: {exc}") from exc
 
 
 def _print_distribution(dist) -> None:
@@ -496,8 +420,13 @@ def cmd_dataset_stats(args) -> int:
         write_stats_csv(ppm, _resolve_out(args.csv_path))
     _emit(args, envelope)
     if args.json_path is None:
-        for record in ppm:
-            print(f"{record.app_name:<40} {record.mean_ppm:>12.1f} ppm ({record.captures_used} captures)")
+        # App names are file names: written as their own bytes, as in the
+        # CSVs, whatever stdout's encoding and error handler.
+        sys.stdout.flush()
+        sys.stdout.buffer.write("".join(
+            f"{record.app_name:<40} {record.mean_ppm:>12.1f} ppm ({record.captures_used} captures)\n"
+            for record in ppm
+        ).encode("utf-8", "surrogateescape"))
         _print_distribution(dist)
     return EXIT_OK
 
@@ -533,9 +462,9 @@ def cmd_compare(args) -> int:
 def cmd_keycov(args) -> int:
     digests: dict[Path, str] = {}
     stream, digests[args.capture] = _read_file(args.capture, read_capture)
+    index, digests[args.keylog] = _read_file(args.keylog, read_keylog)
     flows = FlowTable()
     collections.deque(_classified(stream, flows), maxlen=0)  # coverage reads only the flows' states
-    index, digests[args.keylog] = _read_file(args.keylog, read_keylog)
     coverage = key_coverage(index, flows.states)
     body = {"coverage": coverage_json(coverage, index.malformed_lines)}
     envelope = make_envelope("keycov", [args.capture, args.keylog], body, digests)

@@ -122,6 +122,12 @@ class DatasetManifest:
         return {entry.label.app_name for entry in self.entries}
 
 
+def path_text(path: str | os.PathLike) -> str:
+    """A path's own bytes as text, decoded as UTF-8 whatever the locale; bytes
+    that are not UTF-8 become surrogate escapes, as the CSVs write them back."""
+    return os.fsencode(path).decode("utf-8", "surrogateescape")
+
+
 def scan_dataset(paths: Iterable[Path]) -> DatasetManifest:
     """Pair captures with key logs by identical stem; report every leftover.
 
@@ -132,7 +138,7 @@ def scan_dataset(paths: Iterable[Path]) -> DatasetManifest:
     keylogs: dict[str, Path] = {}
     unparseable: list[Path] = []
     for path in paths:
-        name = path.name
+        name = path_text(path.name)
         if name.endswith(CAPTURE_SUFFIX):
             try:
                 label = parse_capture_filename(name)
@@ -149,7 +155,7 @@ def scan_dataset(paths: Iterable[Path]) -> DatasetManifest:
     return DatasetManifest(
         entries=entries,
         unpaired_keylogs=[keylogs[stem] for stem in sorted(keylogs)],
-        unparseable=sorted(unparseable),
+        unparseable=sorted(unparseable, key=path_text),
     )
 
 

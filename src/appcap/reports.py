@@ -26,7 +26,7 @@ from .analytics import (
     TemporalHistogram,
 )
 from .classify import ClassifiedPacket, ProtoTag, dns_query_name, tls_info
-from .dataset import BackgroundKind, DatasetManifest
+from .dataset import BackgroundKind, DatasetManifest, path_text
 from .ingest import Transport
 from .keylog import CoverageReport
 from .tlswire import Desync, NotTls, parse_tls_records
@@ -44,7 +44,7 @@ def make_envelope(
         "report_schema": REPORT_SCHEMA_VERSION,
         "tool_version": __version__,
         "command": command,
-        "inputs": [{"path": str(p), "sha256": digests[p]} for p in inputs],
+        "inputs": [{"path": path_text(p), "sha256": digests[p]} for p in inputs],
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "body": body,
     }
@@ -188,13 +188,13 @@ def manifest_json(manifest: DatasetManifest) -> dict:
                 "app_name": e.label.app_name,
                 "date": e.label.capture_date.isoformat(),
                 "duration_s": e.label.duration_s,
-                "capture": str(e.capture_path),
-                "keylog": str(e.keylog_path) if e.keylog_path else None,
+                "capture": path_text(e.capture_path),
+                "keylog": path_text(e.keylog_path) if e.keylog_path else None,
             }
             for e in manifest.entries
         ],
-        "unpaired_keylogs": [str(p) for p in manifest.unpaired_keylogs],
-        "unparseable": [str(p) for p in manifest.unparseable],
+        "unpaired_keylogs": [path_text(p) for p in manifest.unpaired_keylogs],
+        "unparseable": [path_text(p) for p in manifest.unparseable],
     }
 
 
@@ -349,8 +349,7 @@ def write_feature_json(rows: Sequence[tuple], fh: BinaryIO) -> None:
     rows' objects, keys sorted, joined by the table's separator, as
     ``json.dumps`` of the report writes them, after a separator when the
     file already holds rows. ``fh.tell()`` is the file's end: every writer
-    appends, forked ones at the offset they share with the parent. Strings
-    go through the encoder's own escaping and ints through
+    appends. Strings go through the encoder's own escaping and ints through
     ``int.__repr__``; ``app_data`` is the one bool. No rows append nothing."""
     if rows and fh.tell():
         fh.write(_ROW_SEPARATOR.encode("ascii"))

@@ -1,16 +1,14 @@
-"""``analyze`` renders its packet table in a forked renderer while it classifies.
+"""``analyze`` renders its packet table one chunk at a time while it classifies.
 
 The capture is decoded and classified in chunks of ``cli._CHUNK_FRAMES``
-frames. Each chunk's rows are appended to one temporary file per output by
-a forked child, one alive at a time, or inline on one CPU. These tests set
-the usable-CPU count to 1, 2 and 3 and the chunk size from 1 frame to more
-than the capture holds, and require the same report bytes (apart from
+frames. Each chunk's rows are appended to one temporary file per output, in
+the command's own process. These tests set the chunk size from 1 frame to
+more than the capture holds, and require the same report bytes (apart from
 ``generated_at``) and CSV bytes each time, equal to the pinned report
 goldens. They also require that the open files stay as many however many
 chunks there are, that a failed render or an unusable temporary directory
-exits 2 with a message, that capture errors still exit 3, that no child is
-left behind on any exit path, and that the cyclic GC is switched off for
-the command only.
+exits 2 with a message and no output, that capture errors still exit 3, and
+that the cyclic GC is switched off for the command only.
 """
 
 from __future__ import annotations
@@ -33,10 +31,9 @@ from appcap.cli import main
 from appcap.ingest import decode_stream, read_capture
 from appcap.reports import FEATURE_COLUMNS
 
-CPU_COUNTS = (1, 2, 3)
 WHOLE = 10**9  # a chunk size larger than any capture here: one chunk
-# A fork of the test process costs milliseconds, so chunks of one frame run
-# on the first HEAD_FRAMES frames of the smallest fixture only.
+# Chunks of one frame run on the first HEAD_FRAMES frames of the smallest
+# fixture only, to keep those runs short.
 HEAD_FRAMES = 150
 
 # Flag set name: (extra argv, JSON output, CSV output). JSON output is a file,
@@ -84,12 +81,7 @@ def _frames(root: Path, name: str) -> int:
     return len(read_capture((root / _paths(name)[0]).read_bytes()).offsets)
 
 
-def assert_no_child_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _run(root, monkeypatch, capfd, name, flags, cpus, chunk) -> tuple:
+def _run(root, monkeypatch, capfd, name, flags, chunk) -> tuple:
     """(exit code, JSON bytes, CSV bytes, stdout) of one ``analyze``; the
     JSON comes from its file or stdout, with ``generated_at`` blanked."""
     capture, keylog = _paths(name)
@@ -99,10 +91,8 @@ def _run(root, monkeypatch, capfd, name, flags, cpus, chunk) -> tuple:
     argv += ["--csv", csv_out] if csv_out else []
     for out in ("out.json", "out.csv"):
         (root / out).unlink(missing_ok=True)
-    monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(cli, "_CHUNK_FRAMES", chunk)
     code = main(argv)
-    assert_no_child_left()
     out, err = capfd.readouterr()
     assert err == ""
     report = out.encode() if json_out == "-" else (root / "out.json").read_bytes() if json_out else None
@@ -119,17 +109,16 @@ def _digest(data: bytes) -> str:
 @pytest.mark.parametrize("flags", sorted(FLAG_SETS))
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_outputs_equal_a_one_piece_render(name, flags, in_root, monkeypatch, capfd):
-    reference = _run(in_root, monkeypatch, capfd, name, flags, 1, WHOLE)
+    reference = _run(in_root, monkeypatch, capfd, name, flags, WHOLE)
     assert reference[0] == 0
     frames = _frames(in_root, name)
-    for cpus in CPU_COUNTS:
-        for chunk in (7 if name == FIXTURE_NAMES[0] else 97, frames, frames + 1):
-            assert _run(in_root, monkeypatch, capfd, name, flags, cpus, chunk) == reference, (cpus, chunk)
+    for chunk in (7 if name == FIXTURE_NAMES[0] else 97, frames, frames + 1):
+        assert _run(in_root, monkeypatch, capfd, name, flags, chunk) == reference, chunk
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_one_piece_render_matches_the_goldens(name, in_root, monkeypatch, capfd):
-    runs = {flags: _run(in_root, monkeypatch, capfd, name, flags, 1, WHOLE) for flags in FLAG_SETS}
+    runs = {flags: _run(in_root, monkeypatch, capfd, name, flags, WHOLE) for flags in FLAG_SETS}
     for flags, command in GOLDEN_COMMAND.items():
         _, report, table, _ = runs[flags]
         assert {"json": _digest(report), "csv": _digest(table)} == GOLDEN[f"{name}:{command}"], flags
@@ -143,18 +132,17 @@ def test_one_piece_render_matches_the_goldens(name, in_root, monkeypatch, capfd)
 def test_one_frame_chunks(flags, in_root, monkeypatch, capfd):
     """Every frame its own chunk; with ``--app-data-only`` many chunks hold no row."""
     name = "head"
-    reference = _run(in_root, monkeypatch, capfd, name, flags, 1, WHOLE)
+    reference = _run(in_root, monkeypatch, capfd, name, flags, WHOLE)
     rows = json.loads(reference[1])["body"]["packets"]
     assert 0 < len(rows) <= _frames(in_root, name)
     if flags == "app-data":
         assert len(rows) < _frames(in_root, name)
-    for cpus in CPU_COUNTS:
-        assert _run(in_root, monkeypatch, capfd, name, flags, cpus, 1) == reference, cpus
+    assert _run(in_root, monkeypatch, capfd, name, flags, 1) == reference
 
 
 @pytest.mark.parametrize("flags", sorted(set(FLAG_SETS) - {"keylog"}))
 def test_capture_without_packets(flags, in_root, monkeypatch, capfd):
-    reference = _run(in_root, monkeypatch, capfd, "empty", flags, 1, WHOLE)
+    reference = _run(in_root, monkeypatch, capfd, "empty", flags, WHOLE)
     assert reference[0] == 0
     if reference[1] is not None:
         text = reference[1].decode()
@@ -162,62 +150,17 @@ def test_capture_without_packets(flags, in_root, monkeypatch, capfd):
         assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
     if reference[2] is not None:
         assert reference[2] == (",".join(FEATURE_COLUMNS) + "\r\n").encode()
-    for cpus in CPU_COUNTS:
-        for chunk in (1, 7):
-            assert _run(in_root, monkeypatch, capfd, "empty", flags, cpus, chunk) == reference
+    for chunk in (1, 7):
+        assert _run(in_root, monkeypatch, capfd, "empty", flags, chunk) == reference
 
 
-def _record_children(monkeypatch) -> tuple[list[int], list[int]]:
-    """Record the pids that ``os.fork`` returns and ``os.waitpid`` reaps."""
-    forked: list[int] = []
-    reaped: list[int] = []
-    fork, waitpid = os.fork, os.waitpid
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    def recording_waitpid(pid, options):
-        result = waitpid(pid, options)
-        reaped.append(result[0])
-        return result
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    monkeypatch.setattr(os, "waitpid", recording_waitpid)
-    return forked, reaped
-
-
-@pytest.mark.parametrize("cpus", CPU_COUNTS)
-def test_renderers_per_cpu_and_reaped_oldest_first(cpus, in_root, monkeypatch, capfd):
-    """One child per chunk with 2 or more CPUs, none with one; the previous
-    child is reaped before each fork, so none is alive at any fork."""
-    name = FIXTURE_NAMES[1]
-    chunks = -(-_frames(in_root, name) // 100)
-    alive: list[int] = []
-    forked, reaped = _record_children(monkeypatch)
-    real_fork = os.fork
-
-    def fork_counting_alive():
-        alive.append(len(forked) - len(reaped))
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork_counting_alive)
-    assert _run(in_root, monkeypatch, capfd, name, "plain", cpus, 100)[0] == 0
-    assert len(forked) == (chunks if cpus > 1 else 0)
-    assert reaped == forked
-    assert alive == [0] * len(forked)
-
-
-@pytest.mark.parametrize("cpus", (1, 2))
-def test_open_files_do_not_grow_with_chunks(cpus, in_root, monkeypatch, capfd):
+def test_open_files_do_not_grow_with_chunks(in_root, monkeypatch, capfd):
     """150 one-frame chunks under a soft limit of 64 open files."""
-    reference = _run(in_root, monkeypatch, capfd, "head", "plain", 1, WHOLE)
+    reference = _run(in_root, monkeypatch, capfd, "head", "plain", WHOLE)
     script = (
         "import resource, sys; from appcap import cli; "
         "resource.setrlimit(resource.RLIMIT_NOFILE, (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1])); "
-        f"cli._CHUNK_FRAMES = 1; cli.usable_cpus = lambda: {cpus}; sys.exit(cli.main(sys.argv[1:]))"
+        "cli._CHUNK_FRAMES = 1; sys.exit(cli.main(sys.argv[1:]))"
     )
     argv = [sys.executable, "-c", script, "analyze", _paths("head")[0], "--json", "out.json", "--csv", "out.csv"]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -227,12 +170,11 @@ def test_open_files_do_not_grow_with_chunks(cpus, in_root, monkeypatch, capfd):
     assert (report, (in_root / "out.csv").read_bytes()) == reference[1:3]
 
 
-@pytest.mark.parametrize("cpus", (1, 2))
 @pytest.mark.parametrize(
     "command, spied",
     [("analyze", "protocol_distribution"), ("keycov", "key_coverage"), ("baseline", "temporal_histogram")],
 )
-def test_commands_hold_at_most_one_chunk_of_packets(command, spied, cpus, in_root, monkeypatch, capfd):
+def test_commands_hold_at_most_one_chunk_of_packets(command, spied, in_root, monkeypatch, capfd):
     """Once the capture is classified, at most one chunk of its packets is alive."""
     capture, keylog = _paths(FIXTURE_NAMES[1])
     assert _frames(in_root, FIXTURE_NAMES[1]) > 10 * 100
@@ -248,27 +190,17 @@ def test_commands_hold_at_most_one_chunk_of_packets(command, spied, cpus, in_roo
         return real(*args, **kwargs)
 
     monkeypatch.setattr(cli, spied, spy)
-    monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(cli, "_CHUNK_FRAMES", 100)
     argv = {"analyze": [command, capture, "--csv", "held.csv"], "keycov": [command, capture, keylog],
             "baseline": [command, capture]}[command]
     before = alive()
     assert main([*argv, "--json", "held.json"]) == 0
-    assert_no_child_left()
     capfd.readouterr()
     assert len(seen) == 1
     assert seen[0] - before <= 100
 
 
-def test_without_fork_renders_inline(in_root, monkeypatch, capfd):
-    name = FIXTURE_NAMES[0]
-    reference = _run(in_root, monkeypatch, capfd, name, "plain", 1, WHOLE)
-    monkeypatch.delattr(os, "fork")
-    assert _run(in_root, monkeypatch, capfd, name, "plain", 3, 7) == reference
-
-
-@pytest.mark.parametrize("cpus", CPU_COUNTS)
-def test_renderer_failure_exits_2_and_leaves_no_child(cpus, in_root, monkeypatch, capfd):
+def test_render_failure_exits_2_and_writes_nothing(in_root, monkeypatch, capfd):
     """Every chunk but the first fails to render."""
     capture = _paths(FIXTURE_NAMES[1])[0]
     first_ts = decode_stream(read_capture((in_root / capture).read_bytes()))[0].ts_ns
@@ -280,10 +212,8 @@ def test_renderer_failure_exits_2_and_leaves_no_child(cpus, in_root, monkeypatch
         return feature_rows(packets)
 
     monkeypatch.setattr(cli, "feature_rows", failing)
-    monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(cli, "_CHUNK_FRAMES", 7)
     code = main(["analyze", capture, "--json", "fail.json", "--csv", "fail.csv"])
-    assert_no_child_left()
     out, err = capfd.readouterr()
     assert code == 2
     assert err == "appcap: cannot render the packet table: renderer broke\n"
@@ -292,13 +222,10 @@ def test_renderer_failure_exits_2_and_leaves_no_child(cpus, in_root, monkeypatch
     assert not (in_root / "fail.csv").exists()
 
 
-@pytest.mark.parametrize("cpus", CPU_COUNTS)
-def test_unusable_temporary_directory_exits_2(cpus, in_root, monkeypatch, capfd):
-    monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+def test_unusable_temporary_directory_exits_2(in_root, monkeypatch, capfd):
     with monkeypatch.context() as patch:  # capfd needs a temporary directory on teardown
         patch.setattr(tempfile, "tempdir", str(in_root / "no-such-directory"))
         code = main(["analyze", _paths(FIXTURE_NAMES[0])[0], "--csv", "tmp.csv"])
-    assert_no_child_left()
     out, err = capfd.readouterr()
     assert code == 2
     assert err.startswith("appcap: ") and err.count("\n") == 1
@@ -321,13 +248,10 @@ def broken_captures(corpus_root, tmp_path_factory):
     }
 
 
-@pytest.mark.parametrize("cpus", CPU_COUNTS)
-def test_capture_errors_exit_3(cpus, broken_captures, in_root, monkeypatch, capfd):
-    monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+def test_capture_errors_exit_3(broken_captures, in_root, monkeypatch, capfd):
     monkeypatch.setattr(cli, "_CHUNK_FRAMES", 7)
     for capture, message in broken_captures.items():
         code = main(["analyze", str(capture), "--json", "broken.json", "--csv", "broken.csv"])
-        assert_no_child_left()
         assert (code, capfd.readouterr()) == (3, ("", message))
 
 

@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 from helpers import PCAP_MAGIC_NS_LE, eth, ip4, pcap_file, tcp
 
+from appcap.classify import FlowTable
 from appcap.cli import main
 from appcap.synth import CONNECTIVITY_HOST, build_http_204, build_http_get
 
@@ -389,6 +390,24 @@ class TestInputDigests:
         digests = {entry["path"]: entry["sha256"] for entry in envelope["inputs"]}
         assert digests[str(keylog)] == hashlib.sha256(reads[0]).hexdigest()
         assert envelope["body"]["coverage"]["keylog_malformed_lines"] == 0
+
+    @pytest.mark.parametrize("command", ["analyze", "keycov"])
+    def test_missing_keylog_exits_2_before_classifying(self, background_dir, tmp_path, monkeypatch, capsys, command):
+        capture = next(background_dir.glob("*.pcap"))
+        absent = tmp_path / "no-such.txt"
+        classified = []
+        classify = FlowTable.classify
+
+        def spy(self, record):
+            classified.append(record)
+            return classify(self, record)
+
+        monkeypatch.setattr(FlowTable, "classify", spy)
+        flags = ["--keylog", str(absent)] if command == "analyze" else [str(absent)]
+        assert main([command, str(capture), *flags, "--json", str(tmp_path / "out.json")]) == 2
+        assert classified == []
+        assert not (tmp_path / "out.json").exists()
+        assert str(absent) in capsys.readouterr().err
 
 
 class TestBaseline:

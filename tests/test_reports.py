@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -260,12 +261,14 @@ LATIN1_NAME = b"com.caf\xe9_20250101T000000Z_60.pcap"
 UTF8_NAME = "com.café_20250101T000000Z_60.pcap".encode()
 
 
-def run_in_locale(argv, cwd: Path, locale: str) -> None:
-    """Run the CLI in a fresh interpreter under ``locale``: exit 0, nothing on stderr."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **LOCALES[locale]}
+def run_in_locale(argv, cwd: Path, locale: str, **env: str) -> bytes:
+    """Run the CLI in a fresh interpreter under ``locale`` and ``env``: exit 0,
+    nothing on stderr. Returns its stdout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **LOCALES[locale], **env}
     done = subprocess.run([sys.executable, "-m", "appcap.cli", *argv], cwd=cwd, env=env,
                           capture_output=True, timeout=120)
-    assert (done.returncode, done.stderr) == (0, b""), (locale, argv)
+    assert (done.returncode, done.stderr) == (0, b""), (locale, argv, env)
+    return done.stdout
 
 
 @pytest.mark.parametrize(
@@ -294,13 +297,40 @@ def test_csv_bytes_do_not_depend_on_the_locale(tmp_path, name, argv, line):
     assert line in outputs["utf8"]
 
 
-def test_latin1_name_in_stats_json(tmp_path):
+def write_capture(tmp_path: Path, name: bytes) -> None:
     os.mkdir(tmp_path / "a")
-    with open(os.path.join(os.fsencode(tmp_path), b"a", LATIN1_NAME), "wb") as fh:
+    with open(os.path.join(os.fsencode(tmp_path), b"a", name), "wb") as fh:
         fh.write(CAPTURE)
+
+
+def test_latin1_name_in_stats_json(tmp_path):
+    write_capture(tmp_path, LATIN1_NAME)
     for locale in LOCALES:
         run_in_locale(["dataset", "stats", "a", "--json", f"{locale}.json"], tmp_path, locale)
         assert json.loads((tmp_path / f"{locale}.json").read_text())["body"]["ppm"][0]["captures_used"] == 1
+        # The text summary writes the name's own bytes, whatever stdout's encoding.
+        for encoding in ("utf-8", "ascii"):
+            out = run_in_locale(["dataset", "stats", "a"], tmp_path, locale, PYTHONIOENCODING=encoding)
+            assert out.startswith(b"com.caf\xe9 "), (locale, encoding)
+
+
+@pytest.mark.parametrize("command", ["scan", "stats"])
+def test_utf8_name_gives_one_report_in_every_locale(tmp_path, command):
+    """The manifest, the app names and the inputs' paths are the file name's
+    own bytes read as UTF-8, not as the locale reads them; so is the order
+    of unparseable names, one of them not UTF-8."""
+    write_capture(tmp_path, UTF8_NAME)
+    for name in ("\U0001F600.pcap".encode(), b"\xf5.pcap"):
+        open(os.path.join(os.fsencode(tmp_path), b"a", name), "wb").close()
+    reports = {}
+    for locale in LOCALES:
+        out = run_in_locale(["dataset", command, "a", "--json", "-"], tmp_path, locale)
+        reports[locale] = re.sub(rb'"generated_at": "[^"]*"', b'"generated_at": ""', out)
+    assert reports["utf8"] == reports["ascii"]
+    report = json.loads(reports["utf8"])
+    assert report["body"]["manifest"]["entries"][0]["app_name"] == "com.café"
+    assert report["body"]["manifest"]["unparseable"] == ["a/\udcf5.pcap", "a/\U0001F600.pcap"]
+    assert [entry["path"] for entry in report["inputs"]] == (["a/" + UTF8_NAME.decode()] if command == "stats" else [])
 
 
 def test_dns_info_reads_the_classifier_message():

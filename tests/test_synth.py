@@ -1,4 +1,5 @@
 import json
+import os
 import pickle
 import struct
 from collections import Counter
@@ -6,7 +7,6 @@ from collections import Counter
 import pytest
 import refdissect
 from helpers import classify_capture, classify_with_states
-from test_analyze_pipeline import assert_no_child_left
 from test_parallel import _pool_sizes
 
 from appcap import dataset
@@ -23,6 +23,11 @@ from appcap.synth import (
     parse_fixture_spec,
     synth_dataset,
 )
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
 
 SPEC_OBJ = {
     "seed": 5,
