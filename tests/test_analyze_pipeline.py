@@ -7,8 +7,9 @@ more than the capture holds, and require the same report bytes (apart from
 ``generated_at``) and CSV bytes each time, equal to the pinned report
 goldens. They also require that the open files stay as many however many
 chunks there are, that a failed render or an unusable temporary directory
-exits 2 with a message and no output, that capture errors still exit 3, and
-that the cyclic GC is switched off for the command only.
+exits 2 with a message and no output and leaves no child process, that
+capture errors still exit 3, and that the cyclic GC is switched off for the
+command only. The failure paths run with chunks of 1, 2 and 3 frames.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import pytest
 from test_report_goldens import _GENERATED_AT, FIXTURE_NAMES, GOLDEN, _capture_stem, synthesize
+from test_synth import assert_no_child_left
 
 from appcap import cli
 from appcap.classify import ClassifiedPacket
@@ -154,13 +156,14 @@ def test_capture_without_packets(flags, in_root, monkeypatch, capfd):
         assert _run(in_root, monkeypatch, capfd, "empty", flags, chunk) == reference
 
 
-def test_open_files_do_not_grow_with_chunks(in_root, monkeypatch, capfd):
-    """150 one-frame chunks under a soft limit of 64 open files."""
+@pytest.mark.parametrize("chunk", (1, 2))
+def test_open_files_do_not_grow_with_chunks(chunk, in_root, monkeypatch, capfd):
+    """150 one-frame or 75 two-frame chunks under a soft limit of 64 open files."""
     reference = _run(in_root, monkeypatch, capfd, "head", "plain", WHOLE)
     script = (
         "import resource, sys; from appcap import cli; "
         "resource.setrlimit(resource.RLIMIT_NOFILE, (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1])); "
-        "cli._CHUNK_FRAMES = 1; sys.exit(cli.main(sys.argv[1:]))"
+        f"cli._CHUNK_FRAMES = {chunk}; sys.exit(cli.main(sys.argv[1:]))"
     )
     argv = [sys.executable, "-c", script, "analyze", _paths("head")[0], "--json", "out.json", "--csv", "out.csv"]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -170,14 +173,15 @@ def test_open_files_do_not_grow_with_chunks(in_root, monkeypatch, capfd):
     assert (report, (in_root / "out.csv").read_bytes()) == reference[1:3]
 
 
+@pytest.mark.parametrize("chunk", (1, 2))
 @pytest.mark.parametrize(
     "command, spied",
     [("analyze", "protocol_distribution"), ("keycov", "key_coverage"), ("baseline", "temporal_histogram")],
 )
-def test_commands_hold_at_most_one_chunk_of_packets(command, spied, in_root, monkeypatch, capfd):
+def test_commands_hold_at_most_one_chunk_of_packets(command, spied, chunk, in_root, monkeypatch, capfd):
     """Once the capture is classified, at most one chunk of its packets is alive."""
     capture, keylog = _paths(FIXTURE_NAMES[1])
-    assert _frames(in_root, FIXTURE_NAMES[1]) > 10 * 100
+    assert _frames(in_root, FIXTURE_NAMES[1]) > 10 * chunk
 
     def alive() -> int:
         return sum(isinstance(obj, ClassifiedPacket) for obj in gc.get_objects())
@@ -190,17 +194,18 @@ def test_commands_hold_at_most_one_chunk_of_packets(command, spied, in_root, mon
         return real(*args, **kwargs)
 
     monkeypatch.setattr(cli, spied, spy)
-    monkeypatch.setattr(cli, "_CHUNK_FRAMES", 100)
+    monkeypatch.setattr(cli, "_CHUNK_FRAMES", chunk)
     argv = {"analyze": [command, capture, "--csv", "held.csv"], "keycov": [command, capture, keylog],
             "baseline": [command, capture]}[command]
     before = alive()
     assert main([*argv, "--json", "held.json"]) == 0
     capfd.readouterr()
     assert len(seen) == 1
-    assert seen[0] - before <= 100
+    assert seen[0] - before <= chunk
 
 
-def test_render_failure_exits_2_and_writes_nothing(in_root, monkeypatch, capfd):
+@pytest.mark.parametrize("chunk", (1, 2, 3))
+def test_renderer_failure_exits_2_and_leaves_no_child(chunk, in_root, monkeypatch, capfd):
     """Every chunk but the first fails to render."""
     capture = _paths(FIXTURE_NAMES[1])[0]
     first_ts = decode_stream(read_capture((in_root / capture).read_bytes()))[0].ts_ns
@@ -212,8 +217,9 @@ def test_render_failure_exits_2_and_writes_nothing(in_root, monkeypatch, capfd):
         return feature_rows(packets)
 
     monkeypatch.setattr(cli, "feature_rows", failing)
-    monkeypatch.setattr(cli, "_CHUNK_FRAMES", 7)
+    monkeypatch.setattr(cli, "_CHUNK_FRAMES", chunk)
     code = main(["analyze", capture, "--json", "fail.json", "--csv", "fail.csv"])
+    assert_no_child_left()
     out, err = capfd.readouterr()
     assert code == 2
     assert err == "appcap: cannot render the packet table: renderer broke\n"
@@ -222,15 +228,20 @@ def test_render_failure_exits_2_and_writes_nothing(in_root, monkeypatch, capfd):
     assert not (in_root / "fail.csv").exists()
 
 
-def test_unusable_temporary_directory_exits_2(in_root, monkeypatch, capfd):
-    with monkeypatch.context() as patch:  # capfd needs a temporary directory on teardown
-        patch.setattr(tempfile, "tempdir", str(in_root / "no-such-directory"))
-        code = main(["analyze", _paths(FIXTURE_NAMES[0])[0], "--csv", "tmp.csv"])
-    out, err = capfd.readouterr()
-    assert code == 2
-    assert err.startswith("appcap: ") and err.count("\n") == 1
-    assert "no-such-directory" in err
-    assert out == ""
+@pytest.mark.parametrize("chunk", (1, 2, 3))
+def test_unusable_temporary_directory_exits_2(chunk, in_root, monkeypatch, capfd):
+    """Each output that needs a temporary file fails the same way, before any chunk."""
+    monkeypatch.setattr(cli, "_CHUNK_FRAMES", chunk)
+    for outputs in (["--csv", "tmp.csv"], ["--json", "tmp.json"], ["--json", "tmp.json", "--csv", "tmp.csv"]):
+        with monkeypatch.context() as patch:  # capfd needs a temporary directory on teardown
+            patch.setattr(tempfile, "tempdir", str(in_root / "no-such-directory"))
+            code = main(["analyze", _paths(FIXTURE_NAMES[0])[0], *outputs])
+        out, err = capfd.readouterr()
+        assert code == 2, outputs
+        assert err.startswith("appcap: ") and err.count("\n") == 1
+        assert "no-such-directory" in err
+        assert out == ""
+        assert not (in_root / "tmp.json").exists() and not (in_root / "tmp.csv").exists()
 
 
 @pytest.fixture(scope="module")
@@ -248,8 +259,9 @@ def broken_captures(corpus_root, tmp_path_factory):
     }
 
 
-def test_capture_errors_exit_3(broken_captures, in_root, monkeypatch, capfd):
-    monkeypatch.setattr(cli, "_CHUNK_FRAMES", 7)
+@pytest.mark.parametrize("chunk", (1, 2, 3))
+def test_capture_errors_exit_3(chunk, broken_captures, in_root, monkeypatch, capfd):
+    monkeypatch.setattr(cli, "_CHUNK_FRAMES", chunk)
     for capture, message in broken_captures.items():
         code = main(["analyze", str(capture), "--json", "broken.json", "--csv", "broken.csv"])
         assert (code, capfd.readouterr()) == (3, ("", message))
