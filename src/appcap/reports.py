@@ -373,9 +373,22 @@ def _csv_bytes(rows) -> bytes:
     return text.getvalue().encode("utf-8", "surrogateescape")
 
 
+# A feature row as ``csv.writer`` writes it when no field needs quoting.
+_CSV_ROW = ",".join(["%s"] * len(FEATURE_COLUMNS)) + "\r\n"
+
+
 def write_feature_csv(rows: Sequence[tuple], fh: BinaryIO) -> None:
-    """Append ``feature_rows`` output to a ``PacketTable`` CSV file."""
-    fh.write(_csv_bytes(rows))
+    """Append ``feature_rows`` output to a ``PacketTable`` CSV file, as
+    ``_csv_bytes`` writes it. The rows' fields are first joined as ``str``
+    gives them, which is ``csv.writer``'s own text unless a field is None
+    (written empty) or holds a comma, a quote or a line break (quoted); the
+    counts below find every such chunk, and ``csv.writer`` writes it."""
+    text, n = "".join([_CSV_ROW % row for row in rows]), len(rows)
+    counts = (text.count(","), text.count("\r"), text.count("\n"))
+    if '"' in text or "None" in text or counts != ((len(FEATURE_COLUMNS) - 1) * n, n, n):
+        fh.write(_csv_bytes(rows))
+    else:
+        fh.write(text.encode("utf-8", "surrogateescape"))
 
 
 def write_table_csv(table: PacketTable, path: Path) -> None:

@@ -207,6 +207,29 @@ def test_feature_csv_equals_dict_writer(tmp_path):
         assert_same_text(fh.read(), dict_writer_text(rows))
 
 
+@pytest.mark.parametrize("odd", [None, ",", '"', "\r", "\n", "None", " x ", ""])
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(feature_row, max_size=4), max_size=4), st.integers(min_value=0, max_value=9))
+def test_feature_csv_equals_csv_writer(odd, chunks, column):
+    """Chunks of rows, the first row's field at ``column`` set to ``odd``."""
+    if any(chunks):
+        rows = next(rows for rows in chunks if rows)
+        rows[0] = rows[0][:column] + (odd,) + rows[0][column + 1:]
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerows(row for rows in chunks for row in rows)
+    fh = io.BytesIO()
+    try:
+        expected_bytes = expected.getvalue().encode("utf-8", "surrogateescape")
+    except UnicodeEncodeError:  # a surrogate that is no escaped byte
+        with pytest.raises(UnicodeEncodeError):
+            for rows in chunks:
+                write_feature_csv(rows, fh)
+        return
+    for rows in chunks:
+        write_feature_csv(rows, fh)
+    assert fh.getvalue() == expected_bytes
+
+
 @pytest.fixture(scope="module")
 def fixture_dirs(tmp_path_factory):
     out = tmp_path_factory.mktemp("fixtures")
