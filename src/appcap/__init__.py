@@ -47,16 +47,13 @@ from .dataset import (
 from .ingest import (
     CaptureError,
     CaptureStream,
-    MalformedHeader,
     PacketRecord,
     RawFrame,
-    Skip,
     Transport,
     TruncatedFrame,
     TruncatedHeader,
     UnknownMagic,
     UnsupportedLinkType,
-    decode_frame,
     decode_stream,
     read_capture,
 )

@@ -13,7 +13,6 @@ import argparse
 import collections
 import contextlib
 import dataclasses
-import functools
 import gc
 import json
 import math
@@ -283,11 +282,16 @@ def _classified(
         yield [cp for cp in packets if cp.record.ts_ns < cutoff]
 
 
-def _capture_tally(path: Path, truncate_min: float | None) -> tuple[Tally, str]:
+def _capture_tally(path: Path, truncate_min: float | None, counted: bool = True) -> tuple[Tally, str]:
     """One capture's tally (with ``truncate_min``, of the packets that
-    ``truncate_packets`` keeps) and digest, built one chunk at a time. Runs
-    in a pool worker, so it takes and returns only small picklable values."""
+    ``truncate_packets`` keeps) and digest, built one chunk at a time. Of a
+    capture not ``counted``, only the first frame is decoded, which checks
+    the link type, and the tally is empty. Runs in a pool worker, so it
+    takes and returns only small picklable values."""
     stream, digest = _read_file(path, read_capture)
+    if not counted:
+        decode_stream(dataclasses.replace(stream, offsets=stream.offsets[:1]))
+        return Tally(), digest
     return sum(map(tally, _classified(stream, FlowTable(), truncate_min)), Tally()), digest
 
 
@@ -323,12 +327,15 @@ def _scan_dataset(directory: Path) -> DatasetManifest:
 
 
 def _fold_captures(
-    entries: list[ManifestEntry], truncate_min: float | None
+    entries: list[ManifestEntry], truncate_min: float | None, apps: set[str] | None = None
 ) -> tuple[list[tuple[CaptureLabel, Tally]], dict[Path, str]]:
     """Each capture reduced to its tally, in the order of ``entries``, and
-    the digest of each capture file, folded by ``dataset.map_on_cpus``."""
+    the digest of each capture file, folded by ``dataset.map_on_cpus``.
+    With ``apps``, the captures of other apps are only read, hashed and
+    checked for their link type, and their tallies are empty."""
     paths = [e.capture_path for e in entries]
-    results = map_on_cpus(functools.partial(_capture_tally, truncate_min=truncate_min), paths)
+    counted = [apps is None or e.label.app_name in apps for e in entries]
+    results = map_on_cpus(_capture_tally, paths, [truncate_min] * len(paths), counted)
     captures = [(e.label, t) for e, (t, _) in zip(entries, results)]
     return captures, {p: digest for p, (_, digest) in zip(paths, results)}
 
@@ -434,11 +441,15 @@ def cmd_dataset_stats(args) -> int:
 def cmd_compare(args) -> int:
     entries_a = _scan_dataset(args.dir_a).entries
     entries_b = _scan_dataset(args.dir_b).entries
+    common = {e.label.app_name for e in entries_a} & {e.label.app_name for e in entries_b}
+    if not common:
+        raise NoCommonApps("datasets share no app names")
     # One pool for both datasets' captures.
-    captures, digests = _fold_captures(entries_a + entries_b, args.truncate_min)
+    captures, digests = _fold_captures(
+        entries_a + entries_b, args.truncate_min, common if args.common_only else None
+    )
     captures_a, captures_b = captures[: len(entries_a)], captures[len(entries_a) :]
     report = compare_datasets(captures_a, captures_b, common_only=args.common_only)
-    common = set(report.common_apps)
     body = comparison_json(report)
     for key, captures in (("sankey_a", captures_a), ("sankey_b", captures_b)):
         sankey = flow_graph(merged([(lab, t) for lab, t in captures if lab.app_name in common]))

@@ -170,14 +170,15 @@ def usable_cpus() -> int:
     return len(affinity(0)) if affinity is not None else 1
 
 
-def map_on_cpus(fn: Callable, items: Sequence) -> list:
-    """``fn`` of each item, in item order, computed by one worker per usable
-    CPU (at most one per item; with one, no pool is made). The first failing
-    item in order raises its error, and no worker outlives the call.
+def map_on_cpus(fn: Callable, items: Sequence, *more: Sequence) -> list:
+    """``fn`` of each item (and, as ``map`` takes them, of the items of
+    ``more`` at the same index), in item order, computed by one worker per
+    usable CPU (at most one per item; with one, no pool is made). The first
+    failing item in order raises its error, and no worker outlives the call.
     """
     workers = min(usable_cpus(), len(items))
     if workers <= 1:
-        return list(map(fn, items))
+        return list(map(fn, items, *more))
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -187,7 +188,7 @@ def map_on_cpus(fn: Callable, items: Sequence) -> list:
     # About eight chunks per worker: few round trips, a short last chunk.
     chunksize = max(1, len(items) // (8 * workers))
     try:
-        return list(pool.map(fn, items, chunksize=chunksize))
+        return list(pool.map(fn, items, *more, chunksize=chunksize))
     finally:
         pool.shutdown(cancel_futures=True)
 

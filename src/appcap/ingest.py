@@ -88,10 +88,6 @@ class UnsupportedLinkType(CaptureError):
         return UnsupportedLinkType, (self.linktype_id,)
 
 
-class MalformedHeader(CaptureError):
-    """IP or transport header shorter than its minimum length."""
-
-
 class ByteOrder(enum.Enum):
     LITTLE = "little"
     BIG = "big"
@@ -113,13 +109,6 @@ class SkipReason(enum.Enum):
     NON_IP = "non_ip"
     OTHER_IP_PROTOCOL = "other_ip_protocol"
     FRAGMENT = "fragment"
-
-
-@dataclass(frozen=True)
-class Skip:
-    """Non-error outcome for frames that carry nothing we analyze."""
-
-    reason: SkipReason
 
 
 @dataclass(frozen=True, slots=True)
@@ -313,11 +302,10 @@ _LINK_HEADERS = {
     LINKTYPE_SLL2: ("sll2", 0, 20),
 }
 
-# Skips carry only their reason, so one of each serves every frame.
-_NON_IP = Skip(SkipReason.NON_IP)
-_OTHER_IP_PROTOCOL = Skip(SkipReason.OTHER_IP_PROTOCOL)
-_FRAGMENT = Skip(SkipReason.FRAGMENT)
 # Per-frame code reads these globals: an enum member lookup costs far more.
+_NON_IP = SkipReason.NON_IP
+_OTHER_IP_PROTOCOL = SkipReason.OTHER_IP_PROTOCOL
+_FRAGMENT = SkipReason.FRAGMENT
 _TCP = Transport.TCP
 _UDP = Transport.UDP
 
@@ -329,32 +317,27 @@ def _link_header(linktype_id: int) -> tuple[str, int, int]:
     return link
 
 
-def decode_frame(frame: RawFrame, linktype_id: int) -> PacketRecord | Skip:
-    """Decode one frame to a PacketRecord, or Skip for non-TCP/UDP traffic.
-
-    Raises UnsupportedLinkType for link layers outside {Ethernet, SLL, SLL2}
-    and MalformedHeader when an IP/transport header is shorter than its
-    minimum length (including snaplen cuts through headers).
-    """
-    link = _link_header(linktype_id)
-    return _decode(frame.frame_bytes, 0, frame.captured_len, link, frame.ts_ns, frame.original_len)
+class _MalformedHeader(Exception):
+    """A link, IP or transport header is shorter than its minimum length or
+    contradicts itself. ``decode_stream`` counts the frame as malformed."""
 
 
 def _decode(
     data: bytes, start: int, end: int, link: tuple[str, int, int], ts_ns: int, packet_len: int
-) -> PacketRecord | Skip:
+) -> PacketRecord | SkipReason:
     """Decode the link, IP and transport headers of the frame held in
-    ``data[start:end]``; nothing past ``end`` is read."""
+    ``data[start:end]``, to a record or the reason the frame is skipped;
+    nothing past ``end`` is read."""
     name, type_at, offset = link
     offset += start
     if offset > end:
-        raise MalformedHeader(f"{name} header short")
+        raise _MalformedHeader(f"{name} header short")
     ethertype = _U16.unpack_from(data, start + type_at)[0]
 
     if ethertype == ETHERTYPE_VLAN:
         # One 802.1Q tag: 2 bytes TCI then the real ethertype.
         if offset + 4 > end:
-            raise MalformedHeader("vlan tag short")
+            raise _MalformedHeader("vlan tag short")
         ethertype = _U16.unpack_from(data, offset + 2)[0]
         offset += 4
         if ethertype == ETHERTYPE_VLAN:
@@ -363,32 +346,32 @@ def _decode(
     # Each IP branch finds the transport protocol, start and declared end.
     if ethertype == ETHERTYPE_IPV4:
         if offset + 20 > end:
-            raise MalformedHeader("ipv4 header short")
+            raise _MalformedHeader("ipv4 header short")
         vihl, total_len, fragment, proto, src, dst = _IPV4_HEADER.unpack_from(data, offset)
         if vihl >> 4 != 4:
-            raise MalformedHeader("ipv4 version mismatch")
+            raise _MalformedHeader("ipv4 version mismatch")
         ihl = (vihl & 0x0F) * 4
         if ihl < 20:
-            raise MalformedHeader("ipv4 IHL below minimum")
+            raise _MalformedHeader("ipv4 IHL below minimum")
         l4_start = offset + ihl
         if l4_start > end:
-            raise MalformedHeader("ipv4 options truncated")
+            raise _MalformedHeader("ipv4 options truncated")
         if total_len < ihl:
-            raise MalformedHeader("ipv4 total length below header length")
+            raise _MalformedHeader("ipv4 total length below header length")
         if fragment & 0x1FFF:
             return _FRAGMENT
         ip_version = 4
         l4_end = offset + total_len
     elif ethertype == ETHERTYPE_IPV6:
         if offset + 40 > end:
-            raise MalformedHeader("ipv6 header short")
+            raise _MalformedHeader("ipv6 header short")
         if data[offset] >> 4 != 6:
-            raise MalformedHeader("ipv6 version mismatch")
+            raise _MalformedHeader("ipv6 version mismatch")
         l4_end = offset + 40 + _U16.unpack_from(data, offset + 4)[0]
         src = data[offset + 8 : offset + 24]
         dst = data[offset + 24 : offset + 40]
         walked = _ipv6_transport(data, offset + 40, end, data[offset + 6])
-        if isinstance(walked, Skip):
+        if isinstance(walked, SkipReason):
             return walked
         proto, l4_start = walked
         ip_version = 6
@@ -403,10 +386,10 @@ def _decode(
 
     if proto == IPPROTO_TCP:
         if l4_len < 20:
-            raise MalformedHeader("tcp header short")
+            raise _MalformedHeader("tcp header short")
         header_len = (data[l4_start + 12] >> 4) * 4
         if header_len < 20 or l4_len < header_len:
-            raise MalformedHeader("tcp header short")
+            raise _MalformedHeader("tcp header short")
         src_port, dst_port = _PORTS.unpack_from(data, l4_start)
         payload = data[l4_start + header_len : l4_end]
         return PacketRecord(
@@ -415,10 +398,10 @@ def _decode(
         )
     if proto == IPPROTO_UDP:
         if l4_len < 8:
-            raise MalformedHeader("udp header short")
+            raise _MalformedHeader("udp header short")
         src_port, dst_port, udp_len = _UDP_HEADER.unpack_from(data, l4_start)
         if udp_len < 8:
-            raise MalformedHeader("udp length below minimum")
+            raise _MalformedHeader("udp length below minimum")
         udp_end = l4_start + udp_len
         payload = data[l4_start + 8 : udp_end if udp_end < l4_end else l4_end]
         return PacketRecord(
@@ -434,15 +417,15 @@ _V6_FRAGMENT = 44
 _V6_AH = 51
 
 
-def _ipv6_transport(data: bytes, offset: int, end: int, next_header: int) -> tuple[int, int] | Skip:
+def _ipv6_transport(data: bytes, offset: int, end: int, next_header: int) -> tuple[int, int] | SkipReason:
     """Walk IPv6 extension headers from ``offset`` to a TCP or UDP header's
-    protocol number and offset, or to the Skip for anything else."""
+    protocol number and offset, or to the reason to skip anything else."""
     for _ in range(8):
         if next_header in (IPPROTO_TCP, IPPROTO_UDP):
             return next_header, offset
         if next_header == _V6_FRAGMENT:
             if offset + 8 > end:
-                raise MalformedHeader("ipv6 fragment header truncated")
+                raise _MalformedHeader("ipv6 fragment header truncated")
             frag_field = _U16.unpack_from(data, offset + 2)[0]
             if frag_field >> 3:
                 return _FRAGMENT
@@ -450,18 +433,18 @@ def _ipv6_transport(data: bytes, offset: int, end: int, next_header: int) -> tup
             offset += 8
         elif next_header in _V6_WALKABLE:
             if offset + 2 > end:
-                raise MalformedHeader("ipv6 extension header truncated")
+                raise _MalformedHeader("ipv6 extension header truncated")
             ext_len = (data[offset + 1] + 1) * 8
             if offset + ext_len > end:
-                raise MalformedHeader("ipv6 extension header truncated")
+                raise _MalformedHeader("ipv6 extension header truncated")
             next_header = data[offset]
             offset += ext_len
         elif next_header == _V6_AH:
             if offset + 2 > end:
-                raise MalformedHeader("ipv6 AH truncated")
+                raise _MalformedHeader("ipv6 AH truncated")
             ext_len = (data[offset + 1] + 2) * 4
             if offset + ext_len > end:
-                raise MalformedHeader("ipv6 AH truncated")
+                raise _MalformedHeader("ipv6 AH truncated")
             next_header = data[offset]
             offset += ext_len
         else:
@@ -483,7 +466,9 @@ class DecodeSummary:
 
 
 def decode_stream(stream: CaptureStream, summary: DecodeSummary | None = None) -> list[PacketRecord]:
-    """Decode every frame of a stream in place, tallying skips and malformed frames."""
+    """Decode every frame of a stream in place, tallying skips and malformed
+    frames (headers cut short or inconsistent). Raises UnsupportedLinkType
+    for a link layer outside {Ethernet, SLL, SLL2} if there is a frame."""
     if summary is None:
         summary = DecodeSummary()
     records: list[PacketRecord] = []
@@ -503,12 +488,12 @@ def decode_stream(stream: CaptureStream, summary: DecodeSummary | None = None) -
         packet_len = orig_len if orig_len > incl_len else incl_len
         try:
             outcome = _decode(data, start, start + incl_len, link, ts_ns, packet_len)
-        except MalformedHeader:
+        except _MalformedHeader:
             summary.malformed += 1
             continue
         if outcome.__class__ is PacketRecord:
             append(outcome)
         else:
-            skipped[outcome.reason] = skipped.get(outcome.reason, 0) + 1
+            skipped[outcome] = skipped.get(outcome, 0) + 1
     summary.records += len(records)
     return records

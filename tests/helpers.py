@@ -17,7 +17,7 @@ from appcap.dataset import (
     BackgroundKind,
     http_request_host,
 )
-from appcap.ingest import PacketRecord, RawFrame, Transport
+from appcap.ingest import PacketRecord, Transport
 from appcap.tlswire import TlsVersion
 
 # --- pcap file bytes ---------------------------------------------------------
@@ -121,15 +121,6 @@ def udp(payload: bytes, sport=40000, dport=53, length=None) -> bytes:
 
 def tcp(payload: bytes, sport=40000, dport=443, flags=0x18, seq=1, ack=1) -> bytes:
     return struct.pack(">HHIIBBHHH", sport, dport, seq, ack, 0x50, flags, 65535, 0, 0) + payload
-
-
-def raw_frame(frame_bytes: bytes, ts_ns=0, orig_len=None) -> RawFrame:
-    return RawFrame(
-        ts_ns=ts_ns,
-        captured_len=len(frame_bytes),
-        original_len=orig_len if orig_len is not None else len(frame_bytes),
-        frame_bytes=frame_bytes,
-    )
 
 
 # --- quick record / classified-packet factories -------------------------------

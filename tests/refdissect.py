@@ -60,6 +60,8 @@ def ipv6_fields(packet: bytes) -> dict:
         "version": packet[0] >> 4,
         "payload_len": int.from_bytes(packet[4:6], "big"),
         "next_header": packet[6],
+        "src": packet[8:24],
+        "dst": packet[24:40],
         "payload": packet[40:],
     }
 

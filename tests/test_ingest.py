@@ -11,7 +11,6 @@ from helpers import (
     pcap_file,
     pcap_header,
     pcap_record,
-    raw_frame,
     sll,
     sll2,
     tcp,
@@ -28,9 +27,7 @@ from appcap.ingest import (
     ByteOrder,
     CaptureError,
     DecodeSummary,
-    MalformedHeader,
     PacketRecord,
-    Skip,
     SkipReason,
     Transport,
     TruncatedFrame,
@@ -39,7 +36,6 @@ from appcap.ingest import (
     UnknownMagic,
     UnsupportedLinkType,
     address_text,
-    decode_frame,
     decode_stream,
     read_capture,
 )
@@ -143,7 +139,6 @@ def _capture_errors() -> dict[type, CaptureError]:
         TruncatedHeader: _raised(lambda: read_capture(pcap_header()[:10])),
         TruncatedFrame: _raised(lambda: read_capture(truncated)),
         UnsupportedLinkType: _raised(lambda: decode_stream(read_capture(pcap_file([b"\\x00" * 32], linktype=228)))),
-        MalformedHeader: _raised(lambda: decode_frame(raw_frame(eth(b"\x45\x00\x00")), LINKTYPE_ETHERNET)),
     }
 
 
@@ -215,12 +210,33 @@ class TestPerPacketInvariants:
             RawFrame(ts_ns=-1, captured_len=2, original_len=2, frame_bytes=b"ab")
 
     def test_raw_frame_fields_are_read_only(self):
-        frame = raw_frame(b"ab")
+        frame = RawFrame(ts_ns=0, captured_len=2, original_len=2, frame_bytes=b"ab")
         with pytest.raises(AttributeError):
             frame.ts_ns = 1
 
 
+def decode_one(frame_bytes: bytes, linktype=LINKTYPE_ETHERNET, orig_len=None):
+    """The records and summary ``decode_stream`` gives for a one-frame capture."""
+    summary = DecodeSummary()
+    stream = read_capture(pcap_header(linktype=linktype) + pcap_record(frame_bytes, orig_len=orig_len))
+    return decode_stream(stream, summary), summary
+
+
+def record_of(frame_bytes: bytes, linktype=LINKTYPE_ETHERNET, orig_len=None) -> PacketRecord:
+    records, summary = decode_one(frame_bytes, linktype, orig_len)
+    assert summary == DecodeSummary(records=1)
+    return records[0]
+
+
+def summary_of(frame_bytes: bytes, linktype=LINKTYPE_ETHERNET) -> DecodeSummary:
+    records, summary = decode_one(frame_bytes, linktype)
+    assert records == []
+    return summary
+
+
 class TestDecodeFrame:
+    """Each frame is decoded as a one-frame capture, the way every command decodes."""
+
     def test_sll_ipv4_udp(self):
         # Hand-assembled Linux cooked frame; offsets checked against the
         # reference dissector before asserting on the production decoder.
@@ -235,7 +251,7 @@ class TestDecodeFrame:
         assert (ref_udp["src_port"], ref_udp["dst_port"]) == (40000, 53)
         assert ref_udp["payload"] == payload
 
-        record = decode_frame(raw_frame(frame_bytes), LINKTYPE_SLL)
+        record = record_of(frame_bytes, LINKTYPE_SLL)
         assert isinstance(record, PacketRecord)
         assert record.transport is Transport.UDP
         assert (record.src_ip, record.dst_ip) == (ref_ip["src"], ref_ip["dst"])
@@ -245,20 +261,19 @@ class TestDecodeFrame:
 
     def test_sll2_ipv4_tcp(self):
         frame_bytes = sll2(ip4(tcp(b"hello", sport=1234, dport=80), proto=6))
-        record = decode_frame(raw_frame(frame_bytes), LINKTYPE_SLL2)
+        record = record_of(frame_bytes, LINKTYPE_SLL2)
         assert record.transport is Transport.TCP
         assert (record.src_port, record.dst_port) == (1234, 80)
         assert record.payload == b"hello"
 
     def test_ethernet_arp_skipped(self):
         arp = b"\x00\x01\x08\x00\x06\x04\x00\x01" + b"\x00" * 20
-        outcome = decode_frame(raw_frame(eth(arp, ethertype=0x0806)), LINKTYPE_ETHERNET)
-        assert outcome == Skip(SkipReason.NON_IP)
+        assert summary_of(eth(arp, ethertype=0x0806)) == DecodeSummary(skipped={SkipReason.NON_IP: 1})
 
     def test_ipv6_tcp_syn(self):
         segment = tcp(b"", sport=50000, dport=443, flags=0x02)
         frame_bytes = eth(ip6(segment, next_header=6), ethertype=0x86DD)
-        record = decode_frame(raw_frame(frame_bytes), LINKTYPE_ETHERNET)
+        record = record_of(frame_bytes)
         assert record.transport is Transport.TCP
         assert record.ip_version == 6
         assert record.tcp_flags == 0x02
@@ -269,90 +284,87 @@ class TestDecodeFrame:
         segment = udp(b"zz", dport=443)
         hbh = bytes([17, 0]) + b"\x00" * 6  # next=UDP, one 8-byte unit
         frame_bytes = eth(ip6(hbh + segment, next_header=0), ethertype=0x86DD)
-        record = decode_frame(raw_frame(frame_bytes), LINKTYPE_ETHERNET)
+        record = record_of(frame_bytes)
         assert record.transport is Transport.UDP
         assert record.payload == b"zz"
 
     def test_ipv6_fragment_offset_skipped(self):
         frag = bytes([6, 0]) + (8).to_bytes(2, "big") + b"\x00" * 4  # offset 1
         frame_bytes = eth(ip6(frag + b"\x00" * 20, next_header=44), ethertype=0x86DD)
-        assert decode_frame(raw_frame(frame_bytes), LINKTYPE_ETHERNET) == Skip(SkipReason.FRAGMENT)
+        assert summary_of(frame_bytes) == DecodeSummary(skipped={SkipReason.FRAGMENT: 1})
 
     def test_ipv6_first_fragment_decodes(self):
         segment = udp(b"q")
         frag = bytes([17, 0]) + (0).to_bytes(2, "big") + b"\x00" * 4
         frame_bytes = eth(ip6(frag + segment, next_header=44), ethertype=0x86DD)
-        record = decode_frame(raw_frame(frame_bytes), LINKTYPE_ETHERNET)
+        record = record_of(frame_bytes)
         assert record.transport is Transport.UDP
 
     def test_ipv6_unknown_next_header_skipped(self):
         frame_bytes = eth(ip6(b"\x00" * 8, next_header=132), ethertype=0x86DD)
-        assert decode_frame(raw_frame(frame_bytes), LINKTYPE_ETHERNET) == Skip(SkipReason.OTHER_IP_PROTOCOL)
+        assert summary_of(frame_bytes) == DecodeSummary(skipped={SkipReason.OTHER_IP_PROTOCOL: 1})
 
     def test_vlan_unwrapped_once(self):
         frame_bytes = eth_vlan(ip4(udp(b"v"), proto=17))
-        record = decode_frame(raw_frame(frame_bytes), LINKTYPE_ETHERNET)
+        record = record_of(frame_bytes)
         assert record.transport is Transport.UDP
         assert record.payload == b"v"
 
     def test_double_vlan_skipped(self):
         inner = b"\x00\x64" + b"\x08\x00" + ip4(udp(b"v"))
         frame_bytes = eth_vlan(inner, inner_ethertype=0x8100)
-        assert decode_frame(raw_frame(frame_bytes), LINKTYPE_ETHERNET) == Skip(SkipReason.NON_IP)
+        assert summary_of(frame_bytes) == DecodeSummary(skipped={SkipReason.NON_IP: 1})
 
     def test_ipv4_fragment_skipped(self):
         frame_bytes = eth(ip4(udp(b"x"), frag=0x2001))  # MF + offset 1
-        assert decode_frame(raw_frame(frame_bytes), LINKTYPE_ETHERNET) == Skip(SkipReason.FRAGMENT)
+        assert summary_of(frame_bytes) == DecodeSummary(skipped={SkipReason.FRAGMENT: 1})
 
     def test_ipv4_first_fragment_decodes(self):
         frame_bytes = eth(ip4(udp(b"x"), frag=0x2000))  # MF, offset 0
-        record = decode_frame(raw_frame(frame_bytes), LINKTYPE_ETHERNET)
+        record = record_of(frame_bytes)
         assert record.transport is Transport.UDP
 
     def test_icmp_skipped(self):
         frame_bytes = eth(ip4(b"\x08\x00\x00\x00", proto=1))
-        assert decode_frame(raw_frame(frame_bytes), LINKTYPE_ETHERNET) == Skip(SkipReason.OTHER_IP_PROTOCOL)
+        assert summary_of(frame_bytes) == DecodeSummary(skipped={SkipReason.OTHER_IP_PROTOCOL: 1})
 
     def test_unsupported_linktype(self):
         with pytest.raises(UnsupportedLinkType):
-            decode_frame(raw_frame(b"\x00" * 32), 101)
+            decode_one(b"\x00" * 32, 101)
 
     def test_short_ipv4_header_malformed(self):
-        with pytest.raises(MalformedHeader):
-            decode_frame(raw_frame(eth(b"\x45\x00\x00")), LINKTYPE_ETHERNET)
+        assert summary_of(eth(b"\x45\x00\x00")) == DecodeSummary(malformed=1)
 
     def test_short_tcp_header_malformed(self):
-        with pytest.raises(MalformedHeader):
-            decode_frame(raw_frame(eth(ip4(b"\x01\x02\x03\x04", proto=6))), LINKTYPE_ETHERNET)
+        assert summary_of(eth(ip4(b"\x01\x02\x03\x04", proto=6))) == DecodeSummary(malformed=1)
 
     def test_short_udp_header_malformed(self):
-        with pytest.raises(MalformedHeader):
-            decode_frame(raw_frame(eth(ip4(b"\x01\x02", proto=17))), LINKTYPE_ETHERNET)
+        assert summary_of(eth(ip4(b"\x01\x02", proto=17))) == DecodeSummary(malformed=1)
 
     def test_ipv4_options_honored(self):
         options = b"\x01" * 8  # two NOP words
         frame_bytes = eth(ip4(udp(b"opt"), proto=17, ihl_words=7, options=options))
-        record = decode_frame(raw_frame(frame_bytes), LINKTYPE_ETHERNET)
+        record = record_of(frame_bytes)
         assert record.payload == b"opt"
 
     def test_ethernet_padding_stripped(self):
         inner = ip4(udp(b"pp"), proto=17)
         frame_bytes = eth(inner + b"\x00" * 12)  # pad to minimum frame size
-        record = decode_frame(raw_frame(frame_bytes), LINKTYPE_ETHERNET)
+        record = record_of(frame_bytes)
         assert record.payload == b"pp"
         assert not record.payload_truncated
 
     def test_snaplen_truncation_flags_payload(self):
         full = eth(ip4(tcp(b"A" * 200), proto=6))
         cut = full[: len(full) - 150]
-        record = decode_frame(raw_frame(cut, orig_len=len(full)), LINKTYPE_ETHERNET)
+        record = record_of(cut, orig_len=len(full))
         assert record.payload == b"A" * 50
         assert record.payload_truncated
         assert record.packet_len == len(full)
 
     def test_decode_is_pure(self):
-        frame = raw_frame(sll(ip4(udp(b"same"), proto=17)))
-        assert decode_frame(frame, LINKTYPE_SLL) == decode_frame(frame, LINKTYPE_SLL)
+        stream = read_capture(pcap_file([sll(ip4(udp(b"same"), proto=17))], linktype=LINKTYPE_SLL))
+        assert decode_stream(stream) == decode_stream(stream)
 
 
 IPV6_EDGE_ADDRESSES = [
@@ -375,7 +387,7 @@ class TestAddressText:
     @pytest.mark.parametrize("text", IPV6_EDGE_ADDRESSES)
     def test_decoded_ipv6_record_text(self, text):
         frame_bytes = eth(ip6(tcp(b"v6"), src=text, dst="::"), ethertype=0x86DD)
-        record = decode_frame(raw_frame(frame_bytes), LINKTYPE_ETHERNET)
+        record = record_of(frame_bytes)
         assert record.src_ip == str(ipaddress.IPv6Address(text))
         assert record.dst_ip == "::"
 

@@ -1,17 +1,19 @@
-"""Differential test of the two ways into the frame decoder.
+"""Differential test of the frame decoder against itself and a reference.
 
 ``decode_stream`` decodes each frame in place inside the capture's bytes,
-bounded by the frame's end; ``decode_frame`` decodes a RawFrame copied out of
-them. Generated captures cover both byte orders and timestamp resolutions,
-Ethernet/SLL/SLL2, VLAN tags, IPv4 options and fragments, IPv6 extension and
-fragment headers, snaplen cuts through every header, ``orig_len`` of 0 and
-truncated tails. Every frame is followed by more bytes of the file, so a
-bound check that looked past the frame's end would decode the next record's
-header instead of reporting a malformed frame.
+bounded by the frame's end. Each frame is decoded again as its own one-frame
+capture, where nothing follows it, and its record is checked against
+``tests/refdissect.py``'s fields. Generated captures cover both byte orders
+and timestamp resolutions, Ethernet/SLL/SLL2, VLAN tags, IPv4 options and
+fragments, IPv6 extension and fragment headers, snaplen cuts through every
+header, ``orig_len`` of 0 and truncated tails. Every frame is followed by
+more bytes of the file, so a bound check that looked past the frame's end
+would decode the next record's header instead of reporting a malformed frame.
 """
 
 from __future__ import annotations
 
+import ipaddress
 import struct
 
 from helpers import (
@@ -29,16 +31,16 @@ from helpers import (
 )
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from refdissect import ethernet_fields, ipv4_fields, ipv6_fields, sll2_fields, sll_fields, tcp_fields, udp_fields
 
 from appcap.ingest import (
     LINKTYPE_ETHERNET,
     LINKTYPE_SLL,
     LINKTYPE_SLL2,
     DecodeSummary,
-    MalformedHeader,
-    Skip,
+    PacketRecord,
+    Transport,
     TruncatedFrame,
-    decode_frame,
     decode_stream,
     read_capture,
 )
@@ -53,7 +55,7 @@ def transport_segments(draw) -> tuple[int, bytes]:
     payload = draw(st.binary(max_size=40))
     kind = draw(st.sampled_from(["udp", "tcp", "icmp"]))
     if kind == "udp":
-        length = draw(st.sampled_from([None, 0, 7, 8 + len(payload) + 20]))
+        length = draw(st.sampled_from([None, 0, 7, 8 + len(payload) // 2, 8 + len(payload) + 20]))
         return 17, udp(payload, sport=draw(st.integers(0, 65535)), length=length)
     if kind == "tcp":
         segment = bytearray(tcp(payload, dport=draw(st.sampled_from([80, 443, 853])),
@@ -130,13 +132,14 @@ def framed(linktype: int, ethertype: int, body: bytes) -> bytes:
 
 @st.composite
 def captures(draw):
-    """(file bytes, linktype, expected frames as (ts_ns, original_len, bytes), truncated)."""
+    """(file bytes, linktype, expected frames as (ts_ns, original_len, bytes),
+    each frame's pcap record, truncated)."""
     little = draw(st.booleans())
     nanos = draw(st.booleans())
     linktype = draw(st.sampled_from([LINKTYPE_ETHERNET, LINKTYPE_SLL, LINKTYPE_SLL2]))
     magic = PCAP_MAGIC_NS_LE if nanos else PCAP_MAGIC_US_LE
     blob = pcap_header(magic=magic, little=little, linktype=linktype)
-    expected = []
+    expected, records = [], []
     for _ in range(draw(st.integers(0, 6))):
         full = framed(linktype, *draw(network_layers()))
         # Cuts land in the headers (the first 90 bytes) more often than not.
@@ -145,38 +148,73 @@ def captures(draw):
         orig_len = draw(st.sampled_from([len(full), 0, len(frame)]))
         ts_sec = draw(st.integers(0, 2**32 - 1))
         ts_sub = draw(st.integers(0, 999_999_999 if nanos else 999_999))
-        blob += pcap_record(frame, ts_sec=ts_sec, ts_sub=ts_sub, little=little, orig_len=orig_len)
+        records.append(pcap_record(frame, ts_sec=ts_sec, ts_sub=ts_sub, little=little, orig_len=orig_len))
+        blob += records[-1]
         ts_ns = ts_sec * 1_000_000_000 + ts_sub * (1 if nanos else 1000)
         expected.append((ts_ns, max(orig_len, len(frame)), frame))
     truncated = draw(st.booleans())
     if truncated:
         tail = pcap_record(b"\x00" * draw(st.integers(1, 60)), little=little)
         blob += tail[: draw(st.integers(1, len(tail) - 1))]
-    return blob, linktype, expected, truncated
+    return blob, linktype, expected, records, truncated
 
 
-def decode_each(frames, linktype: int):
-    """What ``decode_stream`` returns, built from ``decode_frame`` one frame at a time."""
+LINK_FIELDS = {LINKTYPE_ETHERNET: ethernet_fields, LINKTYPE_SLL: sll_fields, LINKTYPE_SLL2: sll2_fields}
+
+
+def check_against_reference(record: PacketRecord, linktype: int, frame: bytes) -> None:
+    """The record's addresses, ports, flags and payload, as ``refdissect``
+    reads them from its frame. The reference walks no IPv6 extension header,
+    so behind one only the addresses are checked."""
+    link = LINK_FIELDS[linktype](frame)
+    ethertype, body = link["protocol"], link["payload"]
+    if ethertype == 0x8100:
+        ethertype, body = int.from_bytes(body[2:4], "big"), body[4:]
+    if record.ip_version == 4:
+        assert ethertype == 0x0800
+        ip = ipv4_fields(body)
+        assert (record.src_ip, record.dst_ip) == (ip["src"], ip["dst"])
+        proto, start, end = ip["protocol"], ip["header_len"], ip["total_len"]
+    else:
+        assert ethertype == 0x86DD
+        ip = ipv6_fields(body)
+        assert (record.src_ip, record.dst_ip) == (str(ipaddress.IPv6Address(ip["src"])),
+                                                  str(ipaddress.IPv6Address(ip["dst"])))
+        if ip["next_header"] not in (6, 17):
+            return
+        proto, start, end = ip["next_header"], 40, 40 + ip["payload_len"]
+    segment = body[start:end]  # the declared segment, cut where the capture ends
+    if proto == 6:
+        fields = tcp_fields(segment)
+        assert (record.transport, record.tcp_flags) == (Transport.TCP, fields["flags"])
+        payload, declared = fields["payload"], end - start - fields["header_len"]
+    else:
+        fields = udp_fields(segment)
+        assert (record.transport, record.tcp_flags) == (Transport.UDP, None)
+        payload, declared = fields["payload"][: fields["length"] - 8], fields["length"] - 8
+    assert (record.src_port, record.dst_port) == (fields["src_port"], fields["dst_port"])
+    assert record.payload == payload
+    assert record.payload_truncated == (len(payload) < declared)
+
+
+def decode_each(header: bytes, records: list[bytes], linktype: int, expected):
+    """What ``decode_stream`` returns, built from one-frame captures whose
+    packets are each checked against the reference."""
     summary = DecodeSummary()
-    records = []
-    for frame in frames:
-        try:
-            outcome = decode_frame(frame, linktype)
-        except MalformedHeader:
-            summary.malformed += 1
-            continue
-        if isinstance(outcome, Skip):
-            summary.skipped[outcome.reason] = summary.skipped.get(outcome.reason, 0) + 1
-        else:
-            records.append(outcome)
-            summary.records += 1
-    return records, summary
+    decoded = []
+    for record, (ts_ns, packet_len, frame) in zip(records, expected):
+        one = decode_stream(read_capture(header + record), summary)
+        for packet in one:
+            assert (packet.ts_ns, packet.packet_len) == (ts_ns, packet_len)
+            check_against_reference(packet, linktype, frame)
+        decoded += one
+    return decoded, summary
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(captures())
 def test_stream_decode_equals_frame_by_frame(capture):
-    blob, linktype, expected, truncated = capture
+    blob, linktype, expected, records, truncated = capture
     try:
         stream = read_capture(blob)
     except TruncatedFrame as exc:
@@ -189,8 +227,8 @@ def test_stream_decode_equals_frame_by_frame(capture):
     assert [(f.ts_ns, f.original_len, f.frame_bytes) for f in stream.frames] == expected
 
     summary = DecodeSummary()
-    records = decode_stream(stream, summary)
-    want_records, want_summary = decode_each(stream.frames, linktype)
-    assert records == want_records
+    decoded = decode_stream(stream, summary)
+    want_decoded, want_summary = decode_each(blob[:24], records, linktype, expected)
+    assert decoded == want_decoded
     assert summary == want_summary
     assert summary.total == len(expected)

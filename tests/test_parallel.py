@@ -4,16 +4,21 @@
 per capture. These tests set the usable-CPU count to 1, 2 and 3 and require
 the same report bytes (apart from ``generated_at``) and CSV bytes each time,
 the same exit code and message when a capture in the middle of a dataset
-cannot be parsed, and no pool at all where one worker is enough.
+cannot be parsed, and no pool at all where one worker is enough. ``compare``
+folds only what its report reads: nothing when the datasets share no app,
+and under ``--common-only`` no capture of another app past its first frame.
 """
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import contextlib
+import dataclasses
 import io
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -22,9 +27,10 @@ from pathlib import Path
 import pytest
 from test_report_goldens import FIXTURES, _GENERATED_AT
 
-from appcap import dataset
+from appcap import cli, dataset
+from appcap.classify import FlowTable
 from appcap.cli import main
-from appcap.dataset import scan_directory
+from appcap.dataset import render_capture_filename, scan_directory
 from appcap.ingest import read_capture
 
 CPU_COUNTS = (1, 2, 3)
@@ -57,7 +63,19 @@ COMMANDS = {
     "compare": ["compare", "{a}", "{b}"],
     "compare-common": ["compare", "{a}", "{b}", "--common-only"],
 }
-CORPORA = {"fixtures": ("dns_evolution_a", "dns_evolution_b"), "varied": ("varied_a", "varied_b")}
+CORPORA = {
+    "fixtures": ("dns_evolution_a", "dns_evolution_b"),
+    "varied": ("varied_a", "varied_b"),
+    "mixed": ("mixed_a", "mixed_b"),
+}
+# The varied corpora with some apps renamed, so that each dataset of the
+# mixed pair holds apps the other lacks; the common pair holds only the
+# captures of apps in both.
+MIXED = {
+    "mixed_a": ("varied_a", {"com.varied.app3": "org.only_a.app3", "com.varied.app4": "org.only_a.app4"}),
+    "mixed_b": ("varied_b", {"com.varied.app0": "org.only_b.app0"}),
+}
+COMMON_APPS = {"com.varied.app1", "com.varied.app2"}
 
 
 def _synth(spec_path: Path, out: Path, *extra: str) -> None:
@@ -74,7 +92,21 @@ def corpus_root(tmp_path_factory):
     spec.write_text(json.dumps(VARIED_SPEC))
     _synth(spec, root / "varied_a", "--seed", "5")
     _synth(spec, root / "varied_b", "--seed", "6")
+    for name, (source, renames) in MIXED.items():
+        for mixed, apps in ((name, None), (name.replace("mixed", "common"), COMMON_APPS)):
+            _copy_captures(root / source, root / mixed, renames, apps)
     return root
+
+
+def _copy_captures(source: Path, target: Path, renames: dict[str, str], apps: set[str] | None) -> None:
+    """Copy the captures of ``source``, of ``apps`` only if given, under
+    their app names as ``renames`` maps them."""
+    target.mkdir()
+    for entry in scan_directory(source).entries:
+        app = entry.label.app_name
+        if apps is None or app in apps:
+            label = dataclasses.replace(entry.label, app_name=renames.get(app, app))
+            shutil.copyfile(entry.capture_path, target / render_capture_filename(label))
 
 
 @pytest.fixture
@@ -191,12 +223,25 @@ def broken_dir(tmp_path_factory):
     return root / "data", f"appcap: cannot parse capture: frame record truncated after {frames - 1} frames\n"
 
 
-@pytest.mark.parametrize("command", ["stats", "compare"])
-def test_broken_capture_fails_as_in_a_serial_run(command, broken_dir, corpus_root, monkeypatch, capfd):
+@pytest.fixture(scope="module")
+def partner_dir(broken_dir, tmp_path_factory):
+    """A copy of the broken dataset's first capture, which is whole: its app
+    is the only one it shares with the broken dataset."""
+    root = tmp_path_factory.mktemp("partner")
+    first = scan_directory(broken_dir[0]).entries[0].capture_path
+    shutil.copyfile(first, root / first.name)
+    return root
+
+
+@pytest.mark.parametrize("command", ["stats", "compare", "compare-common"])
+def test_broken_capture_fails_as_in_a_serial_run(command, broken_dir, partner_dir, monkeypatch, capfd):
     broken_dir, message = broken_dir
+    # Both broken captures are of apps the partner lacks, so --common-only
+    # reads them without classifying them.
     argv = {
         "stats": ["dataset", "stats", str(broken_dir)],
-        "compare": ["compare", str(corpus_root / "varied_a"), str(broken_dir)],
+        "compare": ["compare", str(partner_dir), str(broken_dir)],
+        "compare-common": ["compare", str(partner_dir), str(broken_dir), "--common-only"],
     }[command]
     results = {}
     for count in CPU_COUNTS:
@@ -208,3 +253,56 @@ def test_broken_capture_fails_as_in_a_serial_run(command, broken_dir, corpus_roo
     assert results[1][1].out == ""
     assert results[2] == results[1]
     assert results[3] == results[1]
+
+
+def test_common_only_checks_the_link_type_of_other_apps(broken_dir, partner_dir, tmp_path, monkeypatch, capfd):
+    """Without the cut capture, the first broken one in manifest order has
+    link type 228, and its app is not common: --common-only decodes its
+    first frame, which refuses the link type."""
+    entries = scan_directory(broken_dir[0]).entries
+    relinked = tmp_path / "relinked"
+    relinked.mkdir()
+    for entry in entries[:6] + entries[7:]:
+        shutil.copyfile(entry.capture_path, relinked / entry.capture_path.name)
+    for count in CPU_COUNTS:
+        _set_cpus(monkeypatch, count)
+        assert main(["compare", str(partner_dir), str(relinked), "--common-only"]) == 3
+        assert capfd.readouterr().err == "appcap: cannot parse capture: unsupported link type 228\n"
+
+
+def test_no_common_app_exits_before_any_capture_is_read(broken_dir, corpus_root, monkeypatch, capfd):
+    """The app names come from the file names, so datasets that share none
+    are refused before any capture is read, even a broken one."""
+    _forbid_pool(monkeypatch)
+
+    def refuse(*args):
+        raise AssertionError("a file was read")
+
+    monkeypatch.setattr(cli, "_read_file", refuse)
+    for count in CPU_COUNTS:
+        _set_cpus(monkeypatch, count)
+        assert main(["compare", str(corpus_root / "varied_a"), str(broken_dir[0])]) == 3
+        assert capfd.readouterr() == ("", "appcap: datasets share no app names\n")
+
+
+def test_common_only_classifies_only_common_captures(in_root, monkeypatch):
+    """--common-only reports what it reports with only the common apps'
+    captures on disk, and classifies as many packets to do so."""
+    _set_cpus(monkeypatch, 1)  # classify runs in this process
+    calls = collections.Counter()
+    classify = FlowTable.classify
+
+    def counting(table, record):
+        calls[side] += 1
+        return classify(table, record)
+
+    monkeypatch.setattr(FlowTable, "classify", counting)
+    outputs = {}
+    for side in ("mixed", "common"):
+        outputs[side] = _outputs(in_root, ["compare", f"{side}_a", f"{side}_b", "--common-only"])
+    assert calls["mixed"] == calls["common"] > 0
+    (mixed_json, mixed_csv), (common_json, common_csv) = outputs["mixed"], outputs["common"]
+    assert mixed_csv == common_csv
+    mixed, common = json.loads(mixed_json), json.loads(common_json)
+    assert len(mixed["inputs"]) > len(common["inputs"])
+    assert mixed["body"] == common["body"]
