@@ -291,7 +291,7 @@ class FlowTable:
         self._directions: dict[tuple, tuple[FlowKey, FlowState, tuple[str, int]]] = {}
 
     def classify(self, record: PacketRecord) -> ClassifiedPacket:
-        _, _, src_ip, dst_ip, src_port, dst_port, transport, _, payload, _, truncated = record
+        _, src_ip, dst_ip, src_port, dst_port, transport, _, payload, truncated = record
         is_tcp = transport is _TCP
         direction = (src_ip, src_port, dst_ip, dst_port, is_tcp)
         entry = self._directions.get(direction)

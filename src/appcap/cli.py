@@ -249,6 +249,18 @@ def _emit(args, envelope: dict) -> None:
         write_envelope(envelope, _resolve_out(args.json_path), sys.stdout)
 
 
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to stdout as UTF-8, each surrogate escape as the byte it
+    stands for, whatever stdout's encoding; a stdout with no byte layer (a
+    ``StringIO``) takes the text as it is."""
+    sys.stdout.flush()
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(text)
+    else:
+        buffer.write(text.encode("utf-8", "surrogateescape"))
+
+
 def _read_file(path: Path, parse: Callable[[bytes], T]) -> tuple[T, str]:
     """``parse`` of a file's bytes, read once, and the SHA-256 of those bytes."""
     # hashlib loads OpenSSL, about 3.6 MB of resident memory, so it is
@@ -427,13 +439,11 @@ def cmd_dataset_stats(args) -> int:
         write_stats_csv(ppm, _resolve_out(args.csv_path))
     _emit(args, envelope)
     if args.json_path is None:
-        # App names are file names: written as their own bytes, as in the
-        # CSVs, whatever stdout's encoding and error handler.
-        sys.stdout.flush()
-        sys.stdout.buffer.write("".join(
+        # App names are file names: written as their own bytes, as in the CSVs.
+        _write_stdout("".join(
             f"{record.app_name:<40} {record.mean_ppm:>12.1f} ppm ({record.captures_used} captures)\n"
             for record in ppm
-        ).encode("utf-8", "surrogateescape"))
+        ))
         _print_distribution(dist)
     return EXIT_OK
 
@@ -513,11 +523,12 @@ def cmd_synth(args) -> int:
 
 
 def _synth(args) -> int:
+    from .dataset import path_text
     from .synth import FixtureSpecError, parse_fixture_spec, synth_dataset
 
     try:
-        spec_obj = json.loads(args.spec.read_text())
-    except json.JSONDecodeError as exc:
+        spec_obj = json.loads(args.spec.read_bytes().decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FixtureSpecError("$", f"not valid JSON: {exc}") from exc
     spec = parse_fixture_spec(spec_obj)
     if args.seed is not None:
@@ -535,8 +546,7 @@ def _synth(args) -> int:
             return EXIT_USAGE
         out_dir = Path(env)
     written = synth_dataset(spec, out_dir)
-    for path in written:
-        print(path)
+    _write_stdout("".join(f"{path_text(path)}\n" for path in written))
     return EXIT_OK
 
 

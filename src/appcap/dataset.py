@@ -128,6 +128,12 @@ def path_text(path: str | os.PathLike) -> str:
     return os.fsencode(path).decode("utf-8", "surrogateescape")
 
 
+def text_path(text: str) -> str:
+    """``path_text``'s inverse: the path whose own bytes are ``text`` as UTF-8,
+    whatever the locale."""
+    return os.fsdecode(text.encode("utf-8", "surrogateescape"))
+
+
 def scan_dataset(paths: Iterable[Path]) -> DatasetManifest:
     """Pair captures with key logs by identical stem; report every leftover.
 

@@ -12,6 +12,7 @@ import enum
 import functools
 import ipaddress
 import struct
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -143,48 +144,43 @@ class CaptureStream:
     byte_order: ByteOrder
     ts_resolution: TsResolution
     linktype_id: int
-    snaplen: int
     data: bytes = field(repr=False)
     offsets: tuple[int, ...] = field(repr=False)
 
     @functools.cached_property
     def frames(self) -> tuple[RawFrame, ...]:
-        unpack_record = _RECORD_HEADER[_ENDIAN[self.byte_order]].unpack_from
-        scale = _SUBSEC_SCALE[self.ts_resolution]
         data = self.data
-        frames = []
-        for offset in self.offsets:
-            ts_sec, ts_sub, incl_len, orig_len = unpack_record(data, offset)
-            start = offset + RECORD_HEADER_LEN
-            frames.append(
-                RawFrame(
-                    ts_sec * 1_000_000_000 + ts_sub * scale,
-                    incl_len,
-                    # Some writers put 0 or a stale value in orig_len; keep
-                    # the invariant captured <= original.
-                    max(orig_len, incl_len),
-                    data[start : start + incl_len],
-                )
-            )
-        return tuple(frames)
+        return tuple(
+            RawFrame(ts_ns, incl_len, packet_len, data[start : start + incl_len])
+            for start, ts_ns, incl_len, packet_len in _record_headers(self, self.offsets)
+        )
 
     def frames_before(self, bound_ns: int, start: int = 0) -> int:
         """One past the last frame from ``start`` on whose record header is
         stamped before ``bound_ns`` (``start`` if none is), read from the end."""
-        unpack_record = _RECORD_HEADER[_ENDIAN[self.byte_order]].unpack_from
-        scale = _SUBSEC_SCALE[self.ts_resolution]
         end = len(self.offsets)
-        while end > start:
-            ts_sec, ts_sub, _, _ = unpack_record(self.data, self.offsets[end - 1])
-            if ts_sec * 1_000_000_000 + ts_sub * scale < bound_ns:
+        for _, ts_ns, _, _ in _record_headers(self, reversed(self.offsets[start:])):
+            if ts_ns < bound_ns:
                 break
             end -= 1
         return end
 
 
+def _record_headers(stream: CaptureStream, offsets: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """Each record header at ``offsets`` as (frame start, ts_ns, incl_len,
+    packet_len): the original length, raised to incl_len where a writer put 0
+    or a stale value in orig_len, so that captured <= original holds."""
+    unpack_record = _RECORD_HEADER[_ENDIAN[stream.byte_order]].unpack_from
+    scale = _SUBSEC_SCALE[stream.ts_resolution]
+    data = stream.data
+    for offset in offsets:
+        ts_sec, ts_sub, incl_len, orig_len = unpack_record(data, offset)
+        yield (offset + RECORD_HEADER_LEN, ts_sec * 1_000_000_000 + ts_sub * scale, incl_len,
+               orig_len if orig_len > incl_len else incl_len)
+
+
 class _PacketRecordFields(NamedTuple):
     ts_ns: int
-    ip_version: int
     src_ip: str
     dst_ip: str
     src_port: int
@@ -192,7 +188,6 @@ class _PacketRecordFields(NamedTuple):
     transport: Transport
     packet_len: int
     payload: bytes
-    tcp_flags: int | None = None
     payload_truncated: bool = False
 
 
@@ -210,7 +205,6 @@ class PacketRecord(_PacketRecordFields):
     def __new__(
         cls,
         ts_ns: int,
-        ip_version: int,
         src_ip: str,
         dst_ip: str,
         src_port: int,
@@ -218,17 +212,14 @@ class PacketRecord(_PacketRecordFields):
         transport: Transport,
         packet_len: int,
         payload: bytes,
-        tcp_flags: int | None = None,
         payload_truncated: bool = False,
     ):
-        if (tcp_flags is not None) != (transport is _TCP):
-            raise ValueError("tcp_flags present iff transport is TCP")
         if len(payload) > packet_len:
             raise ValueError("payload longer than packet_len")
         return tuple.__new__(
             cls,
-            (ts_ns, ip_version, src_ip, dst_ip, src_port, dst_port, transport, packet_len,
-             payload, tcp_flags, payload_truncated),
+            (ts_ns, src_ip, dst_ip, src_port, dst_port, transport, packet_len, payload,
+             payload_truncated),
         )
 
     @classmethod
@@ -262,12 +253,11 @@ def read_capture(data: bytes) -> CaptureStream:
         TsResolution.NANOSECOND if magic in (MAGIC_LE_NS, MAGIC_BE_NS) else TsResolution.MICROSECOND
     )
     endian = _ENDIAN[order]
-    _vmaj, _vmin, _tz, _sig, snaplen, linktype = struct.unpack(
-        endian + "HHiIII", data[4:GLOBAL_HEADER_LEN]
-    )
+    # The global header's last field is the link type.
+    linktype = struct.unpack_from(endian + "I", data, GLOBAL_HEADER_LEN - 4)[0]
 
     def stream() -> CaptureStream:
-        return CaptureStream(order, resolution, linktype, snaplen, data, tuple(offsets))
+        return CaptureStream(order, resolution, linktype, data, tuple(offsets))
 
     offsets: list[int] = []
     append = offsets.append
@@ -360,7 +350,6 @@ def _decode(
             raise _MalformedHeader("ipv4 total length below header length")
         if fragment & 0x1FFF:
             return _FRAGMENT
-        ip_version = 4
         l4_end = offset + total_len
     elif ethertype == ETHERTYPE_IPV6:
         if offset + 40 > end:
@@ -374,7 +363,6 @@ def _decode(
         if isinstance(walked, SkipReason):
             return walked
         proto, l4_start = walked
-        ip_version = 6
     else:
         return _NON_IP
     l4_declared = l4_end - l4_start
@@ -393,8 +381,8 @@ def _decode(
         src_port, dst_port = _PORTS.unpack_from(data, l4_start)
         payload = data[l4_start + header_len : l4_end]
         return PacketRecord(
-            ts_ns, ip_version, address_text(src), address_text(dst), src_port, dst_port, _TCP,
-            packet_len, payload, data[l4_start + 13], len(payload) < l4_declared - header_len,
+            ts_ns, address_text(src), address_text(dst), src_port, dst_port, _TCP, packet_len,
+            payload, len(payload) < l4_declared - header_len,
         )
     if proto == IPPROTO_UDP:
         if l4_len < 8:
@@ -405,8 +393,8 @@ def _decode(
         udp_end = l4_start + udp_len
         payload = data[l4_start + 8 : udp_end if udp_end < l4_end else l4_end]
         return PacketRecord(
-            ts_ns, ip_version, address_text(src), address_text(dst), src_port, dst_port, _UDP,
-            packet_len, payload, None, len(payload) < udp_len - 8,
+            ts_ns, address_text(src), address_text(dst), src_port, dst_port, _UDP, packet_len,
+            payload, len(payload) < udp_len - 8,
         )
     return _OTHER_IP_PROTOCOL
 
@@ -478,14 +466,7 @@ def decode_stream(stream: CaptureStream, summary: DecodeSummary | None = None) -
     data = stream.data
     skipped = summary.skipped
     append = records.append
-    unpack_record = _RECORD_HEADER[_ENDIAN[stream.byte_order]].unpack_from
-    scale = _SUBSEC_SCALE[stream.ts_resolution]
-    for offset in stream.offsets:
-        # Read as ``CaptureStream.frames`` reads it, original_len included.
-        ts_sec, ts_sub, incl_len, orig_len = unpack_record(data, offset)
-        start = offset + RECORD_HEADER_LEN
-        ts_ns = ts_sec * 1_000_000_000 + ts_sub * scale
-        packet_len = orig_len if orig_len > incl_len else incl_len
+    for start, ts_ns, incl_len, packet_len in _record_headers(stream, stream.offsets):
         try:
             outcome = _decode(data, start, start + incl_len, link, ts_ns, packet_len)
         except _MalformedHeader:

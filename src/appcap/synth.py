@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
-from .dataset import DATE_FORMAT, CaptureLabel, map_on_cpus, render_capture_filename
+from .dataset import DATE_FORMAT, CaptureLabel, map_on_cpus, render_capture_filename, text_path
 from .ingest import (
     LINKTYPE_ETHERNET,
     LINKTYPE_SLL,
@@ -531,8 +531,8 @@ def synth_dataset(spec: FixtureSpec, out_dir: Path) -> list[Path]:
 
 def _write_capture(spec: FixtureSpec, out_dir: Path, job: tuple[str, int, CaptureSpec]) -> tuple[Path, Path]:
     result = build_capture(spec, *job)
-    pcap_path = out_dir / render_capture_filename(result.label)
+    pcap_path = out_dir / text_path(render_capture_filename(result.label))
     pcap_path.write_bytes(result.pcap_bytes)
-    keylog_path = out_dir / keylog_filename_for(result.label)
-    keylog_path.write_text(result.keylog_text)
+    keylog_path = out_dir / text_path(keylog_filename_for(result.label))
+    keylog_path.write_bytes(result.keylog_text.encode())
     return pcap_path, keylog_path

@@ -76,7 +76,6 @@ class TlsRecordView:
     """One parsed record; handshake fields are None when absent."""
 
     content_type: int | None  # 20/21/22/23, None for SSLv2 framing
-    record_version: int | None
     is_sslv2: bool = False
     handshake_type: int | None = None
     legacy_version: int | None = None
@@ -84,14 +83,9 @@ class TlsRecordView:
     supported_versions: tuple[int, ...] | None = None
 
 
-# Views of records without a handshake header, one per pair that passes the
-# framing checks (0x03 then 0x00..0x04): views are immutable, so one serves
-# every such record.
-_PLAIN_VIEWS = {
-    (content_type, 0x0300 | minor): TlsRecordView(content_type, 0x0300 | minor)
-    for content_type in _CONTENT_TYPES
-    for minor in range(5)
-}
+# Views of records without a handshake header, one per content type: views
+# are immutable, so one serves every such record.
+_PLAIN_VIEWS = {content_type: TlsRecordView(content_type) for content_type in _CONTENT_TYPES}
 
 
 def _is_grease(value: int) -> bool:
@@ -124,11 +118,10 @@ def parse_tls_records(data: bytes) -> tuple[list[TlsRecordView], bytes]:
                 raise Desync(records)
             if rem < 5 + length:
                 break
-            version = (data[offset + 1] << 8) | data[offset + 2]
             if b0 == CONTENT_HANDSHAKE and length >= 4:
-                records.append(_handshake_view(version, data[offset + 5 : offset + 5 + length]))
+                records.append(_handshake_view(data[offset + 5 : offset + 5 + length]))
             else:
-                records.append(_PLAIN_VIEWS[b0, version])
+                records.append(_PLAIN_VIEWS[b0])
             offset += 5 + length
         elif b0 & 0x80:
             if rem >= 3 and data[offset + 2] not in _SSLV2_MSG_TYPES:
@@ -153,13 +146,11 @@ def _bail(records: list[TlsRecordView], offset: int):
     raise Desync(records)
 
 
-def _handshake_view(record_version: int, body: bytes) -> TlsRecordView:
+def _handshake_view(body: bytes) -> TlsRecordView:
     """A handshake record whose body holds at least a message header."""
     msg_type = body[0]
     if msg_type not in (HANDSHAKE_CLIENT_HELLO, HANDSHAKE_SERVER_HELLO):
-        return TlsRecordView(
-            content_type=CONTENT_HANDSHAKE, record_version=record_version, handshake_type=msg_type
-        )
+        return TlsRecordView(content_type=CONTENT_HANDSHAKE, handshake_type=msg_type)
     msg_len = (body[1] << 16) | (body[2] << 8) | body[3]
     msg = body[4 : 4 + msg_len]
     legacy = struct.unpack(">H", msg[0:2])[0] if len(msg) >= 2 else None
@@ -167,7 +158,6 @@ def _handshake_view(record_version: int, body: bytes) -> TlsRecordView:
     supported = _supported_versions(msg, msg_type)
     return TlsRecordView(
         content_type=CONTENT_HANDSHAKE,
-        record_version=record_version,
         handshake_type=msg_type,
         legacy_version=legacy,
         random=random,
@@ -225,7 +215,6 @@ def _sslv2_view(body: bytes) -> TlsRecordView:
         legacy = struct.unpack(">H", body[1:3])[0]
     return TlsRecordView(
         content_type=None,
-        record_version=None,
         is_sslv2=True,
         handshake_type=HANDSHAKE_CLIENT_HELLO if msg_type == HANDSHAKE_CLIENT_HELLO else None,
         legacy_version=legacy,

@@ -135,16 +135,12 @@ def mk_record(
     transport=Transport.TCP,
     payload=b"",
     packet_len=None,
-    tcp_flags=None,
     payload_truncated=False,
 ) -> PacketRecord:
-    if tcp_flags is None and transport is Transport.TCP:
-        tcp_flags = 0x18
     if packet_len is None:
         packet_len = len(payload) + 54
     return PacketRecord(
         ts_ns=ts_ns,
-        ip_version=6 if ":" in src_ip else 4,
         src_ip=src_ip,
         dst_ip=dst_ip,
         src_port=src_port,
@@ -152,7 +148,6 @@ def mk_record(
         transport=transport,
         packet_len=packet_len,
         payload=payload,
-        tcp_flags=tcp_flags,
         payload_truncated=payload_truncated,
     )
 

@@ -99,7 +99,7 @@ class TestTlsFlows:
         assert without_ext[1].protocol.tls_version is TlsVersion.TLS1_2
 
     def test_pure_ack_inherits_flow_protocol(self):
-        packets = tls13_packets() + [mk_record(ts_ns=100, payload=b"", tcp_flags=0x10)]
+        packets = tls13_packets() + [mk_record(ts_ns=100, payload=b"")]
         out = classify_capture(packets)
         assert out[-1].protocol == AppProtocol(ProtoTag.TLS, TlsVersion.TLS1_3)
         assert not out[-1].is_app_data
@@ -215,7 +215,7 @@ class TestDnsAndDot:
         assert classify_capture([record])[0].protocol.tag is ProtoTag.DOT
 
     def test_empty_syn_on_853_is_dot(self):
-        record = mk_record(dst_port=853, payload=b"", tcp_flags=0x02)
+        record = mk_record(dst_port=853, payload=b"")
         out = classify_capture([record])
         assert out[0].protocol.tag is ProtoTag.DOT
         assert not out[0].is_app_data
@@ -385,12 +385,12 @@ class TestFlowMechanics:
         assert flows.states[cp.flow].client_random == CH_RANDOM
 
     def test_app_data_without_payload_refused(self):
-        record = mk_record(payload=b"", tcp_flags=0x10)
+        record = mk_record(payload=b"")
         with pytest.raises(ValueError):
             ClassifiedPacket(record, AppProtocol(ProtoTag.OTHER_TCP), True, FlowKey.from_record(record))
 
     def test_replace_keeps_the_app_data_check(self):
-        record = mk_record(payload=b"", tcp_flags=0x10)
+        record = mk_record(payload=b"")
         cp = ClassifiedPacket(record, AppProtocol(ProtoTag.OTHER_TCP), False, FlowKey.from_record(record))
         with pytest.raises(ValueError):
             cp._replace(is_app_data=True)
@@ -405,11 +405,11 @@ class TestFlowMechanics:
             first.protocol = second.protocol
 
     def test_empty_payload_on_fresh_flow_is_other(self):
-        out = classify_capture([mk_record(payload=b"", tcp_flags=0x02)])
+        out = classify_capture([mk_record(payload=b"")])
         assert out[0].protocol.tag is ProtoTag.OTHER_TCP
 
     def test_app_data_implies_payload(self):
-        packets = tls13_packets() + [mk_record(ts_ns=99, payload=b"", tcp_flags=0x10)]
+        packets = tls13_packets() + [mk_record(ts_ns=99, payload=b"")]
         for cp in classify_capture(packets):
             if cp.is_app_data:
                 assert cp.record.payload

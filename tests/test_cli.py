@@ -460,6 +460,13 @@ class TestSynthCommand:
         spec_path.write_text("{nope")
         assert main(["synth", str(spec_path), str(tmp_path / "out")]) == 64
 
+    def test_spec_not_utf8_exit_64(self, tmp_path, capsys):
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_bytes(b'{"apps": [{"app_name": "com.caf\xe9", "captures": []}]}')
+        assert main(["synth", str(spec_path), str(tmp_path / "out")]) == 64
+        assert "'utf-8' codec can't decode" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override_changes_output(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(BACKGROUND_SPEC))

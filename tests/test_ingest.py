@@ -165,34 +165,28 @@ class TestCaptureErrorPickling:
 
 
 class TestPerPacketInvariants:
-    def test_tcp_flags_on_udp_refused(self):
-        with pytest.raises(ValueError):
-            PacketRecord(0, 4, "a", "b", 1, 2, Transport.UDP, 60, b"x", tcp_flags=0x18)
-
-    def test_missing_tcp_flags_on_tcp_refused(self):
-        with pytest.raises(ValueError):
-            PacketRecord(0, 4, "a", "b", 1, 2, Transport.TCP, 60, b"x")
-
     def test_payload_longer_than_packet_refused(self):
         with pytest.raises(ValueError):
-            PacketRecord(0, 4, "a", "b", 1, 2, Transport.UDP, 3, b"four")
+            PacketRecord(0, "a", "b", 1, 2, Transport.UDP, 3, b"four")
 
     def test_replace_keeps_the_checks(self):
-        record = PacketRecord(0, 4, "a", "b", 1, 2, Transport.UDP, 60, b"x")
+        record = PacketRecord(0, "a", "b", 1, 2, Transport.UDP, 60, b"x")
         assert record._replace(ts_ns=5).ts_ns == 5
         with pytest.raises(ValueError):
-            record._replace(tcp_flags=0x02)
+            record._replace(payload=b"y" * 61)
+        with pytest.raises(ValueError):
+            record._replace(packet_len=0)
 
     def test_record_fields_are_read_only(self):
-        record = PacketRecord(0, 4, "a", "b", 1, 2, Transport.TCP, 60, b"x", tcp_flags=0x18)
+        record = PacketRecord(0, "a", "b", 1, 2, Transport.TCP, 60, b"x")
         with pytest.raises(AttributeError):
             record.payload = b"y"
         with pytest.raises(AttributeError):
             record.ts_ns = 1
 
     def test_equal_records_hash_equal(self):
-        first = PacketRecord(7, 6, "::1", "::2", 1, 2, Transport.UDP, 60, bytes([1, 2]))
-        second = PacketRecord(7, 6, "::1", "::2", 1, 2, Transport.UDP, 60, b"\x01\x02")
+        first = PacketRecord(7, "::1", "::2", 1, 2, Transport.UDP, 60, bytes([1, 2]))
+        second = PacketRecord(7, "::1", "::2", 1, 2, Transport.UDP, 60, b"\x01\x02")
         assert first == second and first is not second
         assert hash(first) == hash(second)
         assert len({first, second}) == 1
@@ -257,7 +251,6 @@ class TestDecodeFrame:
         assert (record.src_ip, record.dst_ip) == (ref_ip["src"], ref_ip["dst"])
         assert (record.src_port, record.dst_port) == (40000, 53)
         assert record.payload == payload
-        assert record.tcp_flags is None
 
     def test_sll2_ipv4_tcp(self):
         frame_bytes = sll2(ip4(tcp(b"hello", sport=1234, dport=80), proto=6))
@@ -275,8 +268,6 @@ class TestDecodeFrame:
         frame_bytes = eth(ip6(segment, next_header=6), ethertype=0x86DD)
         record = record_of(frame_bytes)
         assert record.transport is Transport.TCP
-        assert record.ip_version == 6
-        assert record.tcp_flags == 0x02
         assert record.payload == b""
         assert record.src_ip == "2001:db8::1"
 

@@ -9,6 +9,10 @@ fragments, IPv6 extension and fragment headers, snaplen cuts through every
 header, ``orig_len`` of 0 and truncated tails. Every frame is followed by
 more bytes of the file, so a bound check that looked past the frame's end
 would decode the next record's header instead of reporting a malformed frame.
+A second generator cuts honest frames at, or 1-4 bytes before, the end of
+one of their headers or of their declared segment, and follows each cut
+frame with another record, so that a read a few bytes past the frame's end
+sees the next record's header.
 """
 
 from __future__ import annotations
@@ -163,15 +167,14 @@ LINK_FIELDS = {LINKTYPE_ETHERNET: ethernet_fields, LINKTYPE_SLL: sll_fields, LIN
 
 
 def check_against_reference(record: PacketRecord, linktype: int, frame: bytes) -> None:
-    """The record's addresses, ports, flags and payload, as ``refdissect``
+    """The record's addresses, ports, transport and payload, as ``refdissect``
     reads them from its frame. The reference walks no IPv6 extension header,
     so behind one only the addresses are checked."""
     link = LINK_FIELDS[linktype](frame)
     ethertype, body = link["protocol"], link["payload"]
     if ethertype == 0x8100:
         ethertype, body = int.from_bytes(body[2:4], "big"), body[4:]
-    if record.ip_version == 4:
-        assert ethertype == 0x0800
+    if ethertype == 0x0800:
         ip = ipv4_fields(body)
         assert (record.src_ip, record.dst_ip) == (ip["src"], ip["dst"])
         proto, start, end = ip["protocol"], ip["header_len"], ip["total_len"]
@@ -186,11 +189,11 @@ def check_against_reference(record: PacketRecord, linktype: int, frame: bytes) -
     segment = body[start:end]  # the declared segment, cut where the capture ends
     if proto == 6:
         fields = tcp_fields(segment)
-        assert (record.transport, record.tcp_flags) == (Transport.TCP, fields["flags"])
+        assert record.transport is Transport.TCP
         payload, declared = fields["payload"], end - start - fields["header_len"]
     else:
         fields = udp_fields(segment)
-        assert (record.transport, record.tcp_flags) == (Transport.UDP, None)
+        assert record.transport is Transport.UDP
         payload, declared = fields["payload"][: fields["length"] - 8], fields["length"] - 8
     assert (record.src_port, record.dst_port) == (fields["src_port"], fields["dst_port"])
     assert record.payload == payload
@@ -228,6 +231,72 @@ def test_stream_decode_equals_frame_by_frame(capture):
 
     summary = DecodeSummary()
     decoded = decode_stream(stream, summary)
+    want_decoded, want_summary = decode_each(blob[:24], records, linktype, expected)
+    assert decoded == want_decoded
+    assert summary == want_summary
+    assert summary.total == len(expected)
+
+
+
+@st.composite
+def cut_frames(draw, linktype: int) -> tuple[bytes, bytes]:
+    """(cut frame, whole frame): an honest TCP or UDP frame, cut at or 1-4
+    bytes before one of its boundaries: the end of the link header, a VLAN
+    tag, the IP header, an IPv6 extension header, the transport header or
+    the declared segment."""
+    def wrap(header_len: int, ends: list[int]) -> list[int]:
+        """The boundaries behind a header of ``header_len`` bytes, its end first."""
+        return [header_len] + [header_len + end for end in ends]
+
+    payload = draw(st.binary(max_size=12))
+    if draw(st.booleans()):
+        options = b"\x01" * draw(st.sampled_from([0, 4, 8]))
+        segment = bytearray(tcp(options + payload, dport=draw(st.sampled_from([80, 443, 853]))))
+        segment[12] = (20 + len(options)) // 4 << 4
+        proto, segment, ends = 6, bytes(segment), wrap(20 + len(options), [len(payload)])
+    else:
+        proto, segment, ends = 17, udp(payload), wrap(8, [len(payload)])
+    if draw(st.booleans()):
+        ihl_words = draw(st.integers(5, 7))
+        packet = ip4(segment, src=draw(st.sampled_from(ADDRESSES_V4)), proto=proto,
+                     ihl_words=ihl_words, options=b"\x01" * ((ihl_words - 5) * 4))
+        ethertype, ends = 0x0800, wrap(ihl_words * 4, ends)
+    else:
+        if draw(st.booleans()):  # one 8-byte hop-by-hop header
+            segment, proto, ends = bytes([proto, 0]) + b"\x00" * 6 + segment, 0, wrap(8, ends)
+        packet = ip6(segment, src=draw(st.sampled_from(ADDRESSES_V6)), next_header=proto)
+        ethertype, ends = 0x86DD, wrap(40, ends)
+    if draw(st.booleans()):
+        packet = struct.pack(">HH", draw(st.integers(0, 0xFFFF)), ethertype) + packet
+        ethertype, ends = 0x8100, wrap(4, ends)
+    whole = framed(linktype, ethertype, packet)
+    ends = wrap(len(whole) - len(packet), ends)
+    whole += b"\x00" * draw(st.sampled_from([0, 0, 6]))  # link-layer padding
+    return whole[: max(draw(st.sampled_from(ends)) - draw(st.integers(0, 4)), 0)], whole
+
+
+@st.composite
+def cut_captures(draw):
+    """(file bytes, linktype, expected frames as ``captures`` gives them, each
+    frame's pcap record): cut frames, each followed by its whole frame."""
+    linktype = draw(st.sampled_from([LINKTYPE_ETHERNET, LINKTYPE_SLL, LINKTYPE_SLL2]))
+    little = draw(st.booleans())
+    expected, records = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        cut, whole = draw(cut_frames(linktype))
+        for frame in (cut, whole):
+            ts_sec = draw(st.integers(0, 2**32 - 1))
+            records.append(pcap_record(frame, ts_sec=ts_sec, little=little, orig_len=len(whole)))
+            expected.append((ts_sec * 1_000_000_000, len(whole), frame))
+    return pcap_header(little=little, linktype=linktype) + b"".join(records), linktype, expected, records
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cut_captures())
+def test_frame_cut_near_a_boundary_decodes_as_if_last(capture):
+    blob, linktype, expected, records = capture
+    summary = DecodeSummary()
+    decoded = decode_stream(read_capture(blob), summary)
     want_decoded, want_summary = decode_each(blob[:24], records, linktype, expected)
     assert decoded == want_decoded
     assert summary == want_summary

@@ -169,7 +169,7 @@ class TestCoverage:
         assert report.flows_with_client_hello == 0
 
     def test_dot_port_flow_of_empty_packets_counts(self):
-        records = [mk_record(ts_ns=k, dst_port=853, payload=b"", tcp_flags=0x10) for k in range(2)]
+        records = [mk_record(ts_ns=k, dst_port=853, payload=b"") for k in range(2)]
         classified, states = classify_with_states(records)
         assert [cp.protocol.tag for cp in classified] == [ProtoTag.DOT] * 2
         report = key_coverage(KeyIndex(), states)

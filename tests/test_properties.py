@@ -61,7 +61,7 @@ def _template_flows():
                   dst_port=41000, payload=build_server_hello(rng.randbytes(32),
                                                              selected_version=0x0304)),
         mk_record(ts_ns=2, src_port=41000, payload=build_app_data(rng)),
-        mk_record(ts_ns=3, src_port=41000, payload=b"", tcp_flags=0x10),
+        mk_record(ts_ns=3, src_port=41000, payload=b""),
     ]
     dns = [
         mk_record(ts_ns=i, transport=Transport.UDP, src_port=41001, dst_ip="8.8.8.8",

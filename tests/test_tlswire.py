@@ -20,7 +20,6 @@ class TestParseRecords:
         records, remainder = parse_tls_records(bytes([0x17, 0x03, 0x03, 0x00, 0x05]) + b"12345")
         assert len(records) == 1
         assert records[0].content_type == 23
-        assert records[0].record_version == 0x0303
         assert remainder == b""
 
     def test_partial_record_carried_over(self):
